@@ -1,7 +1,8 @@
 """Admissible partition sets and the search for a generic central weight.
 
 A partition of the dimension vector is admissible for a central weight when
-every ordering of its parts passes an integrality test on the window form.
+each of its parts e passes an integrality test on its own: E(e, d - e)/2
+plus the central pairing with e is an integer, with E(a, b) = a^T Q b - a.b.
 The set of admissible partitions controls the block decomposition downstream;
 the most useful central weights are the ones whose set is the single full
 partition.

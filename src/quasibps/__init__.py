@@ -23,14 +23,13 @@ from .errors import (
     MissingBlockError,
 )
 from .magic import magic_dimension, magic_dimension_v
+from .oracle import partition_indicator_blockwise
 from .partitions import (
     VectorPartition,
     admissible_partitions,
-    admissible_partitions_closed_form,
     enumerate_vector_partitions,
     find_central_weight,
     partition_indicator,
-    partition_indicator_blockwise,
 )
 from .quiver import (
     Quiver,

@@ -4,13 +4,15 @@ Subcommands: magic-count, s-set, ih-dim, bps-dim, find-delta, verify.
 Dimension vectors and central weights are entered comma-separated in the
 vertex order of the quiver file; there is no reordering or matching by name.
 
-Exit codes: 0 success, 1 failed verify check, 2 malformed input, 3 asymmetric
-quiver, 4 refused blowup (raise the cutoff with --force or --threads).
+Exit codes: 0 success, 1 failed verify check, 2 malformed input or an
+unwritable report path, 3 asymmetric quiver, 4 refused blowup (lift the
+cutoff with --force).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -164,10 +166,15 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  [{r.anchor}]  {r.ms} ms",
               file=sys.stderr)
 
-    results = run_checks(deep=args.deep, progress=progress if not args.quiet else None)
-    text = report_json(results)
-    if args.report is not None:
-        with open(args.report, "w") as fh:
+    # open the report first, so a bad path fails before the checks run
+    try:
+        report = contextlib.nullcontext() if args.report is None else open(args.report, "w")
+    except OSError as exc:
+        raise InputSchemaError(f"cannot write report {args.report}: {exc}")
+    with report as fh:
+        results = run_checks(deep=args.deep, progress=progress if not args.quiet else None)
+        text = report_json(results)
+        if fh is not None:
             fh.write(text + "\n")
     if args.output == "json":
         print(text)

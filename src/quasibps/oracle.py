@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and shares only the core data types
 with the primary implementations: weight lists are materialized element by
-element, admissibility is sampled over explicit cocharacter grids, and
-lattice counts scan entire bounding boxes with no structural pruning.  Use
-on small instances only.
+element, admissibility walks every ordering of the parts (through blockwise
+half-sums or over explicit cocharacter grids) instead of testing each part
+once, and lattice counts scan entire bounding boxes with no structural
+pruning.  Use on small instances only.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import CutoffExceededError
-from .partitions import VectorPartition, _orderings
-from .quiver import Quiver, check_dim_vector, require_symmetric, total_dim, weight_multisets
+from .partitions import VectorPartition, _partition_checked
+from .quiver import (
+    DimVector,
+    Quiver,
+    check_dim_vector,
+    require_symmetric,
+    slot_blocks,
+    total_dim,
+    weight_multisets,
+)
 from .weights import CentralWeight, is_dominant, weyl_vector
 from .zonotope import bounding_box, contains, weight_zonotope
 
@@ -45,6 +54,71 @@ def window_width_bruteforce(q: Quiver, d, lam):
         if val > 0:
             total += sign * val
     return total
+
+
+def _orderings(parts):
+    """Distinct orderings of a multiset of parts, deterministic order."""
+    counts = {}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+    keys = sorted(counts, reverse=True)
+    seq: list[DimVector] = []
+    total = len(parts)
+
+    def rec():
+        if len(seq) == total:
+            yield tuple(seq)
+            return
+        for k in keys:
+            if counts[k]:
+                counts[k] -= 1
+                seq.append(k)
+                yield from rec()
+                seq.pop()
+                counts[k] += 1
+
+    yield from rec()
+
+
+def partition_indicator_blockwise(q: Quiver, d, partition, delta: CentralWeight) -> int:
+    """Admissibility through blockwise half-sums, one ordering at a time.
+
+    For each ordering, the representation weights and roots whose pairing
+    with the cone is positive are accumulated (with signs -1/2 and +1/2) into
+    a single lattice vector; the ordering passes when the coordinate sum of
+    that vector over each ordered part, plus the part's central pairing, is
+    an integer.  Shares only the weight multisets with the per-part rule.
+    """
+    require_symmetric(q)
+    d = check_dim_vector(q, d)
+    partition = _partition_checked(q, d, partition)
+    n = total_dim(d)
+    rep, adj = weight_multisets(q, d)
+    blocks = slot_blocks(d)
+    for ordering in _orderings(partition.parts):
+        level_of = [0] * n
+        slot = {i: blocks[i][0] for i in range(len(d))}
+        for j, part in enumerate(ordering):
+            for i, m in enumerate(part):
+                for _ in range(m):
+                    level_of[slot[i]] = j
+                    slot[i] += 1
+        theta2 = [0] * n  # twice the accumulated half-sum vector
+        for (p, r), m in rep.entries:
+            if level_of[p] < level_of[r]:
+                theta2[p] -= m
+                theta2[r] += m
+        for (p, r), m in adj.entries:
+            if level_of[p] < level_of[r]:
+                theta2[p] += m
+                theta2[r] -= m
+        for j, part in enumerate(ordering):
+            coord = sum(theta2[p] for p in range(n) if level_of[p] == j)
+            central = sum((Fraction(m) * val for m, val in zip(part, delta.values)),
+                          Fraction(0))
+            if (Fraction(coord, 2) + central).denominator != 1:
+                return 0
+    return 1
 
 
 def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,

@@ -2,20 +2,21 @@
 
 A partition of a dimension vector is an unordered multiset of nonzero
 dimension vectors summing to it.  A partition is *admissible* for a central
-weight when, for every ordering of its parts and every antidominant integer
-cocharacter whose level sets realize that ordering, half the window width
-plus the central pairing is an integer.
+weight when half the window width plus the central pairing is an integer
+along every antidominant integer cocharacter whose level sets are its parts.
 
-On the cone of cocharacters realizing a fixed ordering that quantity is a
-linear form in the level values with no constant term, so admissibility of
-the ordering reduces to integrality of the form's coefficients.  The
-coefficients are extracted by evaluating at a base level tuple with spacing
-three and at one-step perturbations, which stay inside the cone.
+Along such a cocharacter, with part a_j at level v_j, the window width is
+the sum over j < k of (v_j - v_k) E(a_j, a_k), where E(a, b) = a^T Q b - a.b
+is symmetric for a symmetric quiver.  Modulo integers the coefficient of v_j
+in half the width plus the central pairing is E(a_j, d - a_j)/2 +
+<delta, a_j>, which does not depend on where the other parts sit.  So a
+partition is admissible exactly when each of its parts e passes that test
+on its own: the *per-part rule*.  The routes that walk the orderings of the
+parts are kept in ``oracle`` as references.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,15 +26,11 @@ from .quiver import (
     DimVector,
     Quiver,
     check_dim_vector,
-    is_symmetric,
+    is_count,
     require_symmetric,
-    slot_blocks,
     total_dim,
-    weight_multisets,
 )
-from .weights import CentralWeight, pairing, window_width
-
-log = logging.getLogger(__name__)
+from .weights import CentralWeight
 
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
 
@@ -53,7 +50,7 @@ class VectorPartition:
         for p in parts:
             if not any(p):
                 raise InputSchemaError("partition contains a zero part")
-            if any(not isinstance(c, int) or c < 0 for c in p):
+            if not all(map(is_count, p)):
                 raise InputSchemaError(f"partition part {p!r} is not a nonnegative vector")
         object.__setattr__(self, "parts", parts)
 
@@ -83,7 +80,7 @@ def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartiti
         raise CutoffExceededError(
             f"total rank {total_dim(d)} above partition cutoff {PARTITION_CUTOFF}; "
             "use force to override")
-    if any(not isinstance(c, int) or c < 0 for c in d):
+    if not all(map(is_count, d)):
         raise InputSchemaError(f"dimension vector {d!r} is not nonnegative")
     results: list[VectorPartition] = []
     stack: list[DimVector] = []
@@ -107,39 +104,6 @@ def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartiti
     return results
 
 
-def _orderings(parts):
-    """Distinct orderings of a multiset of parts, deterministic order."""
-    counts = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    keys = sorted(counts, reverse=True)
-    seq: list[DimVector] = []
-    total = len(parts)
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                seq.append(k)
-                yield from rec()
-                seq.pop()
-                counts[k] += 1
-
-    yield from rec()
-
-
-def _levels_to_cocharacter(ordering, d, values):
-    """Antidominant cocharacter with the j-th ordered part at level values[j]."""
-    lam = []
-    for i in range(len(d)):
-        for j, part in enumerate(ordering):
-            lam.extend([values[j]] * part[i])
-    return tuple(lam)
-
-
 def _partition_checked(q, d, partition) -> VectorPartition:
     if not isinstance(partition, VectorPartition):
         partition = VectorPartition(tuple(partition))
@@ -149,134 +113,34 @@ def _partition_checked(q, d, partition) -> VectorPartition:
     return partition
 
 
+def _part_admissible(q: Quiver, d, e, delta: CentralWeight) -> bool:
+    """E(e, d - e)/2 + <delta, e> is an integer, with E(a, b) = a^T Q b - a.b."""
+    rest = tuple(m - c for m, c in zip(d, e))
+    n = len(d)
+    euler = (sum(e[i] * q.arrows[i][j] * rest[j] for i in range(n) for j in range(n))
+             - sum(a * b for a, b in zip(e, rest)))
+    return (Fraction(euler, 2) + delta.total_pairing(e)).denominator == 1
+
+
 def partition_indicator(q: Quiver, d, partition, delta: CentralWeight) -> int:
-    """1 when every ordering of the parts passes the integrality test.
-
-    Mixed verdicts across orderings would signal a convention anomaly; they
-    are logged, and the partition still counts as inadmissible.
-    """
+    """1 when every distinct part of the partition is admissible, else 0."""
     require_symmetric(q)
     d = check_dim_vector(q, d)
     partition = _partition_checked(q, d, partition)
-    dexp = delta.expand(d)
-    verdicts = []
-    for ordering in _orderings(partition.parts):
-        k = len(ordering)
-        base = tuple(3 * (k - j) for j in range(k))
-
-        def form(values):
-            lam = _levels_to_cocharacter(ordering, d, values)
-            return Fraction(window_width(q, d, lam), 2) + pairing(lam, dexp)
-
-        f0 = form(base)
-        ok = True
-        for j in range(k):
-            bumped = tuple(b + 1 if i == j else b for i, b in enumerate(base))
-            if (form(bumped) - f0).denominator != 1:
-                ok = False
-                break
-        verdicts.append(ok)
-    if any(verdicts) and not all(verdicts):
-        log.warning("orderings disagree for partition %s of %s", partition, tuple(d))
-    return 1 if all(verdicts) else 0
-
-
-def partition_indicator_blockwise(q: Quiver, d, partition, delta: CentralWeight) -> int:
-    """Independent admissibility route through blockwise half-sums.
-
-    For each ordering, the representation weights and roots whose pairing
-    with the cone is positive are accumulated (with signs -1/2 and +1/2) into
-    a single lattice vector; the ordering passes when the coordinate sum of
-    that vector over each ordered part, plus the part's central pairing, is
-    an integer.  Shares only the weight multisets with the primary route.
-    """
-    require_symmetric(q)
-    d = check_dim_vector(q, d)
-    partition = _partition_checked(q, d, partition)
-    n = total_dim(d)
-    rep, adj = weight_multisets(q, d)
-    blocks = slot_blocks(d)
-    for ordering in _orderings(partition.parts):
-        level_of = [0] * n
-        slot = {i: blocks[i][0] for i in range(len(d))}
-        for j, part in enumerate(ordering):
-            for i, m in enumerate(part):
-                for _ in range(m):
-                    level_of[slot[i]] = j
-                    slot[i] += 1
-        theta2 = [0] * n  # twice the accumulated half-sum vector
-        for (p, r), m in rep.entries:
-            if level_of[p] < level_of[r]:
-                theta2[p] -= m
-                theta2[r] += m
-        for (p, r), m in adj.entries:
-            if level_of[p] < level_of[r]:
-                theta2[p] += m
-                theta2[r] -= m
-        for j, part in enumerate(ordering):
-            coord = sum(theta2[p] for p in range(n) if level_of[p] == j)
-            central = sum((Fraction(m) * val for m, val in zip(part, delta.values)),
-                          Fraction(0))
-            if (Fraction(coord, 2) + central).denominator != 1:
-                return 0
-    return 1
+    return int(all(_part_admissible(q, d, e, delta) for e in partition.multiplicities()))
 
 
 def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,
                           force: bool = False) -> tuple[VectorPartition, ...]:
-    """All partitions of d passing the indicator, canonical order."""
+    """All partitions of d whose parts are all admissible, canonical order."""
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    return tuple(a for a in enumerate_vector_partitions(d, force=force)
-                 if partition_indicator(q, d, a, delta))
-
-
-def admissible_partitions_closed_form(q: Quiver, d, v: int) -> tuple[VectorPartition, ...]:
-    """Closed forms for the two families that admit one.
-
-    Even arrow counts between distinct vertices with an odd loop count at
-    every vertex: a part passes iff v * (its total rank) / (total rank) is an
-    integer.  One vertex with a positive even loop count: a part of size e at
-    position i of an ordering passes iff e*(sum before - sum after)/2 + v*e/d
-    is an integer; that test is ordering-independent modulo integers, so one
-    ordering is evaluated.  Anything else is refused.
-    """
-    require_symmetric(q)
-    d = check_dim_vector(q, d)
-    n = total_dim(d)
-    if n == 0 or n > PARTITION_CUTOFF:
-        raise InputSchemaError(f"total rank {n} outside the supported range")
-    diag_odd = all(q.arrows[i][i] % 2 == 1 for i in range(q.num_vertices))
-    off_even = all(q.arrows[i][j] % 2 == 0
-                   for i in range(q.num_vertices)
-                   for j in range(q.num_vertices) if i != j)
-    one_vertex_even = (q.num_vertices == 1 and q.arrows[0][0] >= 2
-                       and q.arrows[0][0] % 2 == 0)
-    if diag_odd and off_even:
-        out = []
-        for a in enumerate_vector_partitions(d):
-            if all(Fraction(v * total_dim(p), n).denominator == 1 for p in a.parts):
-                out.append(a)
-        return tuple(out)
-    if one_vertex_even:
-        out = []
-        for a in enumerate_vector_partitions(d):
-            sizes = [p[0] for p in a.parts]
-            before = 0
-            ok = True
-            for i, e in enumerate(sizes):
-                after = n - before - e
-                val = Fraction(e * (before - after), 2) + Fraction(v * e, n)
-                if val.denominator != 1:
-                    ok = False
-                    break
-                before += e
-            if ok:
-                out.append(a)
-        return tuple(out)
-    raise InputSchemaError(
-        "closed form needs either odd loop counts with even cross arrows, "
-        "or a single vertex with a positive even loop count")
+    if not any(d):
+        raise InputSchemaError("dimension vector is zero")
+    partitions = enumerate_vector_partitions(d, force=force)
+    admissible = {e for e in product(*(range(m + 1) for m in d))
+                  if any(e) and _part_admissible(q, d, e, delta)}
+    return tuple(a for a in partitions if admissible.issuperset(a.parts))
 
 
 def find_central_weight(q: Quiver, d, *, max_v: int | None = None,

@@ -21,6 +21,11 @@ from .errors import AsymmetricQuiverError, InputSchemaError
 DimVector = tuple[int, ...]
 
 
+def is_count(m) -> bool:
+    """A nonnegative int; bools are refused although they are ints."""
+    return isinstance(m, int) and not isinstance(m, bool) and m >= 0
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[str, ...]
@@ -44,7 +49,7 @@ class Quiver:
                 raise InputSchemaError(
                     f"arrows[{i}] has {len(row)} entries, expected {n}")
             for j, m in enumerate(row):
-                if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+                if not is_count(m):
                     raise InputSchemaError(
                         f"arrows[{i}][{j}] = {m!r} is not a nonnegative integer")
 
@@ -105,7 +110,7 @@ def check_dim_vector(q: Quiver, d) -> DimVector:
         raise InputSchemaError(
             f"dimension vector has {len(d)} entries, quiver has {q.num_vertices} vertices")
     for i, m in enumerate(d):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        if not is_count(m):
             raise InputSchemaError(f"dim[{i}] = {m!r} is not a nonnegative integer")
     return d
 

@@ -27,17 +27,16 @@ from .bps import (
 from .magic import magic_dimension, magic_dimension_v
 from .oracle import (
     lattice_count_naive,
+    partition_indicator_blockwise,
     partition_indicator_sampling,
     window_width_bruteforce,
 )
 from .partitions import (
     VectorPartition,
     admissible_partitions,
-    admissible_partitions_closed_form,
     enumerate_vector_partitions,
     find_central_weight,
     partition_indicator,
-    partition_indicator_blockwise,
 )
 from .quiver import Quiver, loop_quiver, total_dim, triple
 from .weights import CentralWeight, window_width
@@ -151,31 +150,49 @@ def _closed_form_instances():
 
 
 def check_closed_form_sets():
-    """Closed-form admissible sets match the generic route on both families."""
+    """Admissible sets match the closed forms of two families.
+
+    Odd loop counts with even cross arrows: a part e passes iff v|e|/|d| is
+    an integer.  One vertex with a positive even loop count: a part of size
+    e at position i of the canonical order passes iff
+    e*(sum before - sum after)/2 + v*e/d is an integer.
+    """
+    def odd_loops_even_cross(d, v):
+        n = total_dim(d)
+        return tuple(a for a in enumerate_vector_partitions(d)
+                     if all(Fraction(v * total_dim(p), n).denominator == 1
+                            for p in a.parts))
+
+    def one_vertex_even_loops(d, v):
+        n = d[0]
+        out = []
+        for a in enumerate_vector_partitions(d):
+            before = 0
+            for (e,) in a.parts:
+                after = n - before - e
+                if (Fraction(e * (before - after), 2) + Fraction(v * e, n)).denominator != 1:
+                    break
+                before += e
+            else:
+                out.append(a)
+        return tuple(out)
+
     fails = []
     cases = 0
-    for q, dims in _closed_form_instances():
+    families = [(q, dims, odd_loops_even_cross) for q, dims in _closed_form_instances()]
+    families += [(loop_quiver(loops), [(d,) for d in range(1, 6)], one_vertex_even_loops)
+                 for loops in (2, 4)]
+    for q, dims, closed_form in families:
         for d in dims:
             for v in range(total_dim(d) + 1):
                 cases += 1
-                generic = admissible_partitions(q, d, CentralWeight.spread(d, v))
-                closed = admissible_partitions_closed_form(q, d, v)
-                if generic != closed:
-                    fails.append((q.arrows, d, v))
-    for loops in (2, 4):
-        q = loop_quiver(loops)
-        for d in range(1, 6):
-            for v in range(d + 1):
-                cases += 1
-                generic = admissible_partitions(q, (d,), CentralWeight.spread((d,), v))
-                closed = admissible_partitions_closed_form(q, (d,), v)
-                if generic != closed:
+                if admissible_partitions(q, d, CentralWeight.spread(d, v)) != closed_form(d, v):
                     fails.append((q.arrows, d, v))
     return (f"generic = closed form ({cases} cases)", _fails_summary(fails), not fails)
 
 
 def check_admissibility_routes():
-    """Indicator, blockwise, and sampled admissibility agree at small rank."""
+    """Per-part, blockwise, and sampled admissibility agree at small rank."""
     fails = []
     cases = 0
     quivers = [loop_quiver(1), loop_quiver(2), loop_quiver(3), loop_quiver(4),

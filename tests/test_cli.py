@@ -173,6 +173,18 @@ def test_verify_pass_report(tmp_path, monkeypatch, capsys):
     assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == raw
 
 
+def test_verify_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
+    def must_not_run(deep=False, progress=None):
+        raise AssertionError("checks ran before the report path was opened")
+
+    monkeypatch.setattr(cli, "run_checks", must_not_run)
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--quiet", "--report", str(report))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda deep=False, progress=None: FAKE_FAIL)
     code, out, _ = run(capsys, "verify", "--quiet")

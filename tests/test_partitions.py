@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibps.bps import partition_count
 from quasibps.errors import (
@@ -6,15 +8,13 @@ from quasibps.errors import (
     CutoffExceededError,
     InputSchemaError,
 )
+from quasibps.oracle import _orderings, partition_indicator_blockwise
 from quasibps.partitions import (
     VectorPartition,
-    _orderings,
     admissible_partitions,
-    admissible_partitions_closed_form,
     enumerate_vector_partitions,
     find_central_weight,
     partition_indicator,
-    partition_indicator_blockwise,
 )
 from quasibps.quiver import Quiver, loop_quiver, total_dim, triple
 from quasibps.weights import CentralWeight
@@ -38,6 +38,8 @@ def test_vector_partition_canonical():
         VectorPartition(((1,), (0,)))
     with pytest.raises(InputSchemaError):
         VectorPartition(((1, -1),))
+    with pytest.raises(InputSchemaError):
+        VectorPartition(((True,),))
 
 
 def test_enumerate_single_vertex_matches_partition_function():
@@ -61,6 +63,8 @@ def test_enumerate_cutoff():
     with pytest.raises(CutoffExceededError):
         enumerate_vector_partitions((21,))
     assert len(enumerate_vector_partitions((21,), force=True)) == partition_count(21)
+    with pytest.raises(InputSchemaError):
+        enumerate_vector_partitions((True,))
 
 
 def test_orderings_of_a_multiset():
@@ -119,6 +123,34 @@ def test_blockwise_route_agrees():
             partition_indicator_blockwise(CROSS, (2, 2), a, delta)
 
 
+@st.composite
+def admissibility_cases(draw):
+    """A symmetric quiver with at most 3 vertices, d with 1 <= |d| <= 5, and a
+    central weight with denominators at most 6."""
+    nv = draw(st.integers(1, 3))
+    arrows = [[0] * nv for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i, nv):
+            arrows[i][j] = arrows[j][i] = draw(st.integers(0, 4))
+    total = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nv - 1, max_size=nv - 1)))
+    d = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    delta = CentralWeight(tuple(
+        draw(st.fractions(min_value=-2, max_value=2, max_denominator=6)) for _ in range(nv)))
+    return Quiver(tuple(map(str, range(nv))), arrows), d, delta
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(admissibility_cases())
+def test_per_part_rule_matches_every_ordering(case):
+    q, d, delta = case
+    blockwise = [a for a in enumerate_vector_partitions(d)
+                 if partition_indicator_blockwise(q, d, a, delta)]
+    for a in enumerate_vector_partitions(d):
+        assert partition_indicator(q, d, a, delta) == (a in blockwise)
+    assert admissible_partitions(q, d, delta) == tuple(blockwise)
+
+
 def test_admissible_sets_three_loop():
     q = loop_quiver(3)
     sets = {v: [str(a) for a in
@@ -128,22 +160,6 @@ def test_admissible_sets_three_loop():
     assert sets[1] == ["3"]
     assert sets[2] == ["3"]
     assert sets[3] == ["3", "2+1", "1+1+1"]
-
-
-def test_closed_form_matches_generic():
-    cases = [(loop_quiver(3), (4,)), (loop_quiver(1), (4,)), (CROSS, (2, 2)),
-             (loop_quiver(2), (4,)), (loop_quiver(4), (3,))]
-    for q, d in cases:
-        for v in range(total_dim(d) + 1):
-            generic = admissible_partitions(q, d, CentralWeight.spread(d, v))
-            assert admissible_partitions_closed_form(q, d, v) == generic
-
-
-def test_closed_form_refuses_other_quivers():
-    with pytest.raises(InputSchemaError):
-        admissible_partitions_closed_form(TORIC1, (1, 1), 0)  # odd cross arrows
-    with pytest.raises(InputSchemaError):
-        admissible_partitions_closed_form(loop_quiver(0), (2,), 0)
 
 
 def test_scaled_coprime_set_sizes():
