@@ -21,6 +21,7 @@ from .errors import (
     CutoffExceededError,
     InputSchemaError,
     MissingBlockError,
+    RouteDisagreementError,
 )
 from .magic import magic_dimension, magic_dimension_v
 from .oracle import partition_indicator_blockwise

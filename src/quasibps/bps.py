@@ -8,10 +8,12 @@ integer tuples (c_1, ..., c_d) with
 * sum of the last k entries at most v*k/d for k = 1..d,
 * total sum exactly v.
 
-Those constraints confine every entry to an explicit box, so a depth-first
-scan with partial-sum pruning is exact and fast.  The assembly side combines
-a table of per-part block dimensions over the admissible partitions of a
-central weight, multiplying symmetric-power dimensions over repeated parts.
+Those constraints confine every entry to an explicit box.  The scan runs
+over the reversed sequence, where the rest of the count depends only on the
+position, the previous entry and the partial sum, so it is memoized on that
+triple.  The assembly side combines a table of per-part block dimensions
+over the admissible partitions of a central weight, multiplying
+symmetric-power dimensions over repeated parts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .errors import InputSchemaError, MissingBlockError
 from .partitions import admissible_partitions
-from .quiver import DimVector, Quiver, check_dim_vector
+from .quiver import DimVector, Quiver, check_dim_vector, is_count
 from .weights import CentralWeight
 
 
@@ -35,19 +37,21 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
     lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
     hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
-    count = 0
+    memo: dict[tuple[int, int, int], int] = {}
 
     # scan in reverse (last entry first) so the suffix-sum constraints become
     # prefix constraints: with b_j = c_{d+1-j}, need b_{j+1} <= b_j + 2g and
     # d * (b_1 + ... + b_k) <= v * k.
     def walk(j, prev, acc):
-        nonlocal count
+        """Completions once j entries are fixed, the last being prev, summing to acc."""
         if j == d:
-            if acc == v:
-                count += 1
-            return
+            return 1 if acc == v else 0
+        key = (j, prev, acc)
+        if key in memo:
+            return memo[key]
         top = hi if j == 0 else min(hi, prev + 2 * g)
         rest = d - j - 1
+        count = 0
         for b in range(lo, top + 1):
             acc2 = acc + b
             if d * acc2 > v * (j + 1):
@@ -55,10 +59,11 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
             ceiling = acc2 + sum(min(hi, b + 2 * g * (t + 1)) for t in range(rest))
             if ceiling < v:
                 continue
-            walk(j + 1, b, acc2)
+            count += walk(j + 1, b, acc2)
+        memo[key] = count
+        return count
 
-    walk(0, 0, 0)
-    return count
+    return walk(0, 0, 0)
 
 
 def partition_count(n: int) -> int:
@@ -144,10 +149,9 @@ def block_table_from_dict(obj) -> BlockDimTable:
         if not isinstance(row, dict) or "e" not in row or "dim" not in row:
             raise InputSchemaError(f'blocks[{k}] must have keys "e" and "dim"')
         part = row["e"]
-        if (not isinstance(part, list) or not part
-                or any(not isinstance(c, int) or c < 0 for c in part)):
+        if not isinstance(part, list) or not part or not all(is_count(c) for c in part):
             raise InputSchemaError(f'blocks[{k}].e must be a nonempty list of nonnegative integers')
-        if not isinstance(row["dim"], int) or row["dim"] < 0:
+        if not is_count(row["dim"]):
             raise InputSchemaError(f'blocks[{k}].dim must be a nonnegative integer')
         dims.append((tuple(part), row["dim"]))
     return BlockDimTable(

@@ -6,7 +6,8 @@ vertex order of the quiver file; there is no reordering or matching by name.
 
 Exit codes: 0 success, 1 failed verify check, 2 malformed input or an
 unwritable report path, 3 asymmetric quiver, 4 refused blowup (lift the
-cutoff with --force).
+cutoff with --force), 5 two counting routes disagree under
+--fast-membership checked.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from .bps import (
     load_block_table,
     score_sequence_count,
 )
-from .errors import AsymmetricQuiverError, CutoffExceededError, InputSchemaError
+from .errors import (
+    AsymmetricQuiverError,
+    CutoffExceededError,
+    InputSchemaError,
+    RouteDisagreementError,
+)
 from .magic import magic_dimension
 from .partitions import admissible_partitions, find_central_weight
 from .quiver import Quiver, load_quiver, loop_quiver
@@ -215,8 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quiver_args(p)
     _add_delta_args(p)
     p.add_argument("--fast-membership", choices=("on", "off", "checked"), default="on",
-                   help="indicator fast path: use it, skip it, or cross-check both routes")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for counting")
+                   help="on and off both run the block-profile count; checked also runs "
+                        "the flow-membership count and exits 5 if they differ")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked for compatibility; starts no processes")
     p.add_argument("--force", action="store_true", help="override the size cutoff")
     p.add_argument("--output", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=cmd_magic_count)
@@ -275,6 +283,9 @@ def main(argv=None) -> int:
     except CutoffExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except RouteDisagreementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

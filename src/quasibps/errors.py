@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes, so the hierarchy stays flat and
 stable: malformed input, asymmetric quivers, and refused computations are the
-three classes callers dispatch on.
+three classes callers dispatch on, plus the disagreement of two counting
+routes that a checked run compares.
 """
 
 
@@ -20,3 +21,7 @@ class CutoffExceededError(RuntimeError):
 
 class MissingBlockError(InputSchemaError):
     """A BPS assembly referenced a part with no entry in the block dimension table."""
+
+
+class RouteDisagreementError(RuntimeError):
+    """Two routes that must compute the same count returned different values."""

@@ -4,33 +4,44 @@ The count attached to (quiver, dimension vector, central weight) is the
 number of dominant integer weights chi such that chi + (Weyl vector) -
 (central weight) lies in the weight zonotope.  All generators of the
 zonotope sum to zero, so the count vanishes unless the central weight pairs
-integrally with the diagonal cocharacter; that integer also fixes the
-coordinate sum of every counted weight, which drives the enumeration.
+integrally with the diagonal cocharacter; that integer v also fixes the
+coordinate sum of every counted weight.
 
-Enumeration walks the slots vertex-major, keeps coefficients nondecreasing
-inside each block, and prunes on per-slot bounding-box ranges plus suffix
-sums.  Membership of each completed candidate is decided by the exact flow
-route, optionally preceded by the indicator filter (``fast="on"``, sound
-rejections, accepted points re-confirmed exactly) or cross-checked against
-it (``fast="checked"``, raises on any disagreement).
+Every generator is a slot difference (e_p - e_r)/2, so by Gale's theorem a
+sum-zero point lies in the zonotope exactly when its sum over every slot
+subset S is at most the support value h(S) = 1/2 sum_ij m_ij k_i (d_j - k_j),
+where k_i = |S cap block i|.  The shifted point increases inside each block,
+so only the top k_i slots of each block bind: chi is counted exactly when
+
+    sum_i T_i(k_i) <= F(k) = floor(H(k))   for every block profile k,
+    sum_i T_i(d_i) = v,
+
+with T_i(k) the sum of the top k entries of chi in block i and
+H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i.
+
+The count walks the nonzero blocks in order.  After some blocks are fixed,
+the rest depends only on the running total and on the residual caps
+c(k_rest) = min over the fixed profiles of F - sum T, so the walk is
+memoized on (block, c, total).  Each intermediate block enumerates its
+nondecreasing sequences, pruned with lower bounds on the later blocks' top
+sums; the last block is counted by a dynamic programme over (position,
+previous value, prefix sum) under the caps.  No membership test runs and no
+process starts.  ``fast="checked"`` also runs the flow-membership reference
+``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
+two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from multiprocessing import get_context
+from itertools import accumulate, product
 
-from .errors import CutoffExceededError, InputSchemaError
+from . import oracle
+from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
 from .quiver import Quiver, check_dim_vector, require_symmetric, slot_blocks, total_dim
 from .weights import CentralWeight, weyl_vector
-from .zonotope import (
-    INDICATOR_CUTOFF,
-    bounding_box,
-    contains,
-    contains_fast,
-    weight_zonotope,
-)
+from .zonotope import bounding_box, weight_zonotope
 
 COUNT_CUTOFF = 12  # refuse larger total ranks unless force=True
 
@@ -39,7 +50,10 @@ _FAST_MODES = ("on", "off", "checked")
 
 def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
                     fast: str = "on", jobs: int = 1, force: bool = False) -> int:
-    """Number of dominant integer weights inside the shifted window."""
+    """Number of dominant integer weights inside the shifted window.
+
+    ``jobs`` is validated for compatibility but starts no process.
+    """
     require_symmetric(q)
     d = check_dim_vector(q, d)
     n = total_dim(d)
@@ -53,22 +67,14 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
     if not isinstance(jobs, int) or jobs < 1:
         raise InputSchemaError(f"jobs must be a positive integer, got {jobs!r}")
 
-    total = delta.total_pairing(d)
-    if total.denominator != 1:
-        return 0  # the window misses the integer slice of the sum hyperplane
-    v = int(total)
-
-    bounds = _slot_bounds(q, d, delta)
-    if bounds is None:
-        return 0
-    lo, hi = bounds
-
-    if jobs > 1 and hi[0] > lo[0]:
-        chunks = _split_range(lo[0], hi[0], jobs)
-        args = [(q, d, delta, fast, force, c) for c in chunks]
-        with get_context("fork").Pool(len(chunks)) as pool:
-            return sum(pool.starmap(_count_chunk, args))
-    return _count_chunk(q, d, delta, fast, force, (lo[0], hi[0]))
+    count = _window_count(q, d, delta)
+    if fast == "checked":
+        reference = oracle.window_count_dfs(q, d, delta)
+        if reference != count:
+            raise RouteDisagreementError(
+                f"window counts disagree for d={d}: "
+                f"block-profile DP {count}, flow DFS {reference}")
+    return count
 
 
 def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
@@ -92,73 +98,135 @@ def _slot_bounds(q, d, delta):
     return lo, hi
 
 
-def _split_range(lo: int, hi: int, jobs: int):
-    width = hi - lo + 1
-    jobs = min(jobs, width)
+def _cut_table(q, d, delta, verts) -> list[int]:
+    """F(k) = floor(H(k)) over the profiles of the blocks ``verts``, first most significant."""
     out = []
-    start = lo
-    for k in range(jobs):
-        size = width // jobs + (1 if k < width % jobs else 0)
-        out.append((start, start + size - 1))
-        start += size
+    for k in product(*(range(d[i] + 1) for i in verts)):
+        h = Fraction(0)
+        for a, i in enumerate(verts):
+            h += sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) * k[a]
+            h -= k[a] * (d[i] - k[a])
+        h = h / 2 + sum(k[a] * delta.values[i] for a, i in enumerate(verts))
+        out.append(math.floor(h))
     return out
 
 
-def _count_chunk(q, d, delta, fast, force, first_range) -> int:
-    """Count candidates whose first-slot value lies in first_range (inclusive)."""
-    n = total_dim(d)
-    v = int(delta.total_pairing(d))
-    z = weight_zonotope(q, d)
-    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
+def _window_count(q, d, delta) -> int:
+    total = delta.total_pairing(d)
+    if total.denominator != 1:
+        return 0  # the window misses the integer slice of the sum hyperplane
+    v = int(total)
     bounds = _slot_bounds(q, d, delta)
     if bounds is None:
         return 0
     lo, hi = bounds
-    lo[0] = max(lo[0], first_range[0])
-    hi[0] = min(hi[0], first_range[1])
-    if lo[0] > hi[0]:
+
+    # per nonzero block, the ranges a nondecreasing sequence can really take
+    verts, ranges = [], []
+    for i, (b0, b1) in enumerate(slot_blocks(d)):
+        if b1 == b0:
+            continue
+        blo = list(accumulate(lo[b0:b1], max))
+        bhi = list(accumulate(reversed(hi[b0:b1]), min))[::-1]
+        if any(a > b for a, b in zip(blo, bhi)):
+            return 0
+        verts.append(i)
+        ranges.append((blo, bhi))
+    nb = len(verts)
+
+    # rest_lo[i][r]: lower bound on the top sums of blocks i.. at their profile
+    # r, the sum of the top lower bounds; rest_hi[i]: bound on their full sum
+    rest_lo = [[0] for _ in range(nb + 1)]
+    rest_hi = [0] * (nb + 1)
+    for i in range(nb - 1, -1, -1):
+        blo, bhi = ranges[i]
+        top_lo = [0, *accumulate(reversed(blo))]
+        rest_lo[i] = [t + r for t in top_lo for r in rest_lo[i + 1]]
+        rest_hi[i] = sum(bhi) + rest_hi[i + 1]
+
+    memo: dict = {}
+
+    def solve(i, c, acc):
+        """Completions of blocks i.. under the residual caps c, sum so far acc."""
+        key = (i, c, acc)
+        if key in memo:
+            return memo[key]
+        blo, bhi = ranges[i]
+        need = v - acc
+        if i == nb - 1:
+            count = _count_block(blo, bhi, c, need)
+        else:
+            # c is flat over (k_i, r) with r the profile of the later blocks
+            later = rest_lo[i + 1]
+            width = len(later)
+            caps = [min(c[k * width + r] - later[r] for r in range(width))
+                    for k in range(len(blo) + 1)]
+            count = 0
+            for tops in _block_sequences(blo, bhi, caps,
+                                         need - rest_hi[i + 1], need - later[-1]):
+                c2 = tuple(min(c[k * width + r] - t for k, t in enumerate(tops))
+                           for r in range(width))
+                count += solve(i + 1, c2, acc + tops[-1])
+        memo[key] = count
+        return count
+
+    return solve(0, tuple(_cut_table(q, d, delta, verts)), 0)
+
+
+def _slot_choices(blo, bhi, need_lo, need_hi):
+    """``choices(p, s, prev, cap)``: the values slot p can take when the slots
+    above it sum to s, the slot above holds prev, the new top sum must stay
+    at most cap and the block sum must be able to land in [need_lo, need_hi]."""
+    below_lo = [0] + list(accumulate(blo))  # least sum of the bottom p slots
+    below_hi = [0] + list(accumulate(bhi))
+
+    def choices(p, s, prev, cap):
+        top = min(bhi[p], prev, cap - s, need_hi - s - below_lo[p])
+        # the p slots below x sum to at most min(below_hi[p], p * x)
+        short = need_lo - s
+        first = max(blo[p], short - below_hi[p], -(-short // (p + 1)))
+        return range(first, top + 1)
+
+    return choices
+
+
+def _block_sequences(blo, bhi, caps, need_lo, need_hi):
+    """Top sums (T(0), ..., T(m)) of every nondecreasing sequence in the ranges
+    with T(k) <= caps[k] and need_lo <= T(m) <= need_hi."""
+    m = len(blo)
+    if caps[0] < 0:
+        return
+    choices = _slot_choices(blo, bhi, need_lo, need_hi)
+    tops = [0] * (m + 1)
+
+    def walk(k, prev):
+        p = m - 1 - k  # slot filled at this step, top first
+        s = tops[k]
+        for x in choices(p, s, prev, caps[k + 1]):
+            tops[k + 1] = s + x
+            if p == 0:
+                yield tuple(tops)
+            else:
+                yield from walk(k + 1, x)
+
+    yield from walk(0, bhi[-1])
+
+
+def _count_block(blo, bhi, caps, target) -> int:
+    """Nondecreasing sequences in the ranges with T(k) <= caps[k] and T(m) = target.
+
+    Filled top slot first; a state is (previous value, prefix sum).
+    """
+    m = len(blo)
+    if caps[0] < 0:
         return 0
-
-    starts = {b0 for b0, b1 in slot_blocks(d) if b1 > b0}
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        suffix_lo[p] = suffix_lo[p + 1] + lo[p]
-        suffix_hi[p] = suffix_hi[p + 1] + hi[p]
-
-    use_indicator = fast != "off" and (fast == "checked" or n <= INDICATOR_CUTOFF)
-
-    def member(chi) -> bool:
-        x = tuple(Fraction(c) - s for c, s in zip(chi, shift))
-        if fast == "checked":
-            quick = contains_fast(z, x)
-            exact = contains(z, x)
-            if quick != exact:
-                raise RuntimeError(
-                    f"membership routes disagree at {x}: indicator={quick} flow={exact}")
-            return exact
-        if use_indicator and not contains_fast(z, x):
-            return False
-        return contains(z, x)
-
-    count = 0
-    chi = [0] * n
-
-    def walk(p, acc):
-        nonlocal count
-        if p == n:
-            if acc == v and member(chi):
-                count += 1
-            return
-        floor_p = lo[p] if p in starts else max(lo[p], chi[p - 1])
-        for c in range(floor_p, hi[p] + 1):
-            acc2 = acc + c
-            if acc2 + suffix_lo[p + 1] > v:
-                break  # values only grow from here
-            if acc2 + suffix_hi[p + 1] < v:
-                continue
-            chi[p] = c
-            walk(p + 1, acc2)
-
-    walk(0, 0)
-    return count
+    choices = _slot_choices(blo, bhi, target, target)
+    layer = {(bhi[-1], 0): 1}
+    for k in range(m):
+        p = m - 1 - k
+        nxt: dict = {}
+        for (prev, s), ways in layer.items():
+            for x in choices(p, s, prev, caps[k + 1]):
+                nxt[x, s + x] = nxt.get((x, s + x), 0) + ways
+        layer = nxt
+    return sum(layer.values())

@@ -4,8 +4,10 @@ Everything here is deliberately naive and shares only the core data types
 with the primary implementations: weight lists are materialized element by
 element, admissibility walks every ordering of the parts (through blockwise
 half-sums or over explicit cocharacter grids) instead of testing each part
-once, and lattice counts scan entire bounding boxes with no structural
-pruning.  Use on small instances only.
+once, and window counts decide each candidate by flow membership, either
+scanning the entire bounding box with no structural pruning or walking the
+dominant candidates of the right coordinate sum.  Use on small instances
+only.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from .errors import CutoffExceededError
 from .partitions import VectorPartition, _partition_checked
@@ -29,31 +32,35 @@ from .weights import CentralWeight, is_dominant, weyl_vector
 from .zonotope import bounding_box, contains, weight_zonotope
 
 
+def _signed_weight_vectors(q: Quiver, d):
+    """Every weight as a full vector, once per multiplicity: (vector, +1) for
+    representation weights, (vector, -1) for adjoint roots."""
+    n = total_dim(d)
+    rep, adj = weight_multisets(q, d)
+    vectors = []
+    for multiset, sign in ((rep, 1), (adj, -1)):
+        for (p, r), m in multiset.entries:
+            vec = [0] * n
+            vec[p] += 1
+            vec[r] -= 1
+            vectors.extend([(tuple(vec), sign)] * m)
+    return vectors
+
+
+def _width_from_vectors(vectors, lam):
+    total = 0
+    for vec, sign in vectors:
+        val = sum(map(mul, lam, vec))
+        if val > 0:
+            total += sign * val
+    return total
+
+
 def window_width_bruteforce(q: Quiver, d, lam):
     """Window width by expanding every weight into a full vector and dotting."""
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    n = total_dim(d)
-    rep, adj = weight_multisets(q, d)
-    vectors = []
-    for (p, r), m in rep.entries:
-        vec = [0] * n
-        vec[p] += 1
-        vec[r] -= 1
-        for _ in range(m):
-            vectors.append((tuple(vec), 1))
-    for (p, r), m in adj.entries:
-        vec = [0] * n
-        vec[p] += 1
-        vec[r] -= 1
-        for _ in range(m):
-            vectors.append((tuple(vec), -1))
-    total = 0
-    for vec, sign in vectors:
-        val = sum(a * b for a, b in zip(lam, vec))
-        if val > 0:
-            total += sign * val
-    return total
+    return _width_from_vectors(_signed_weight_vectors(q, d), lam)
 
 
 def _orderings(parts):
@@ -136,6 +143,7 @@ def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,
     if not isinstance(partition, VectorPartition):
         partition = VectorPartition(tuple(partition))
     dexp = delta.expand(d)
+    vectors = _signed_weight_vectors(q, d)
     tested = False
     for ordering in _orderings(partition.parts):
         k = len(ordering)
@@ -146,12 +154,63 @@ def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,
                 for j, part in enumerate(ordering):
                     lam.extend([values[j]] * part[i])
             lam = tuple(lam)
-            width = window_width_bruteforce(q, d, lam)
+            width = _width_from_vectors(vectors, lam)
             val = Fraction(width, 2) + sum(
                 (a * b for a, b in zip(lam, dexp)), Fraction(0))
             if val.denominator != 1:
                 return 0
     return 1 if tested else "unknown"
+
+
+def window_count_dfs(q: Quiver, d, delta: CentralWeight) -> int:
+    """Window count by a pruned depth-first walk with flow membership per candidate.
+
+    Walks the slots vertex-major with coefficients nondecreasing inside each
+    block, prunes on bounding-box ranges and suffix sums of the coordinate
+    total, and decides every completed candidate with ``contains``.  Apart
+    from the bounding-box slot ranges it shares no logic with the
+    block-profile count it is compared against.
+    """
+    require_symmetric(q)
+    d = check_dim_vector(q, d)
+    total = delta.total_pairing(d)
+    if total.denominator != 1:
+        return 0
+    v = int(total)
+    n = total_dim(d)
+    z = weight_zonotope(q, d)
+    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
+    box = bounding_box(z)
+    lo = [math.ceil(b[0] + s) for b, s in zip(box, shift)]
+    hi = [math.floor(b[1] + s) for b, s in zip(box, shift)]
+    starts = {b0 for b0, b1 in slot_blocks(d) if b1 > b0}
+    suffix_lo = [0] * (n + 1)
+    suffix_hi = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        suffix_lo[p] = suffix_lo[p + 1] + lo[p]
+        suffix_hi[p] = suffix_hi[p + 1] + hi[p]
+
+    count = 0
+    chi = [0] * n
+
+    def walk(p, acc):
+        nonlocal count
+        if p == n:
+            if acc == v and contains(z, tuple(Fraction(c) - s for c, s in zip(chi, shift))):
+                count += 1
+            return
+        floor_p = lo[p] if p in starts else max(lo[p], chi[p - 1])
+        for c in range(floor_p, hi[p] + 1):
+            acc2 = acc + c
+            if acc2 + suffix_lo[p + 1] > v:
+                break  # values only grow from here
+            if acc2 + suffix_hi[p + 1] < v:
+                continue
+            chi[p] = c
+            walk(p + 1, acc2)
+
+    walk(0, 0)
+    return count
 
 
 def lattice_count_naive(q: Quiver, d, delta: CentralWeight,

@@ -24,6 +24,7 @@ from .bps import (
     partition_count,
     score_sequence_count,
 )
+from .errors import RouteDisagreementError
 from .magic import magic_dimension, magic_dimension_v
 from .oracle import (
     lattice_count_naive,
@@ -261,10 +262,10 @@ def check_central_weight_search():
 
 
 def check_membership_routes():
-    """Flow and indicator membership agree; symmetry and invariances hold."""
+    """Counting and membership routes agree; symmetry and invariances hold."""
     fails = []
     samples = 0
-    # (a) dual-route agreement on every enumeration candidate, small families
+    # (a) block-profile count against the flow-membership DFS, small families
     instances = [(toric_quiver(1), (1, 1)), (toric_quiver(4), (1, 1)),
                  (loop_quiver(3), (4,)), (loop_quiver(5), (3,)),
                  (loop_quiver(1), (6,)), (loop_quiver(3), (6,))]
@@ -272,7 +273,7 @@ def check_membership_routes():
         for v in (0, 1, total_dim(d)):
             try:
                 magic_dimension_v(q, d, v, fast="checked")
-            except RuntimeError as exc:
+            except RouteDisagreementError as exc:
                 fails.append(("route disagreement", q.arrows, d, v, str(exc)))
     # (b) central symmetry, support domination, scaling on random points
     rng = random.Random(20260823)

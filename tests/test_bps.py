@@ -117,7 +117,9 @@ def test_block_table_schema_errors():
     for bad in ([], {}, {"blocks": 3}, {"blocks": [{"e": [1]}]},
                 {"blocks": [{"e": [], "dim": 1}]},
                 {"blocks": [{"e": [1], "dim": -1}]},
-                {"blocks": [{"e": [1.5], "dim": 1}]}):
+                {"blocks": [{"e": [1.5], "dim": 1}]},
+                {"blocks": [{"e": [True], "dim": 1}]},
+                {"blocks": [{"e": [1], "dim": True}]}):
         with pytest.raises(InputSchemaError):
             block_table_from_dict(bad)
 

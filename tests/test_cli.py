@@ -3,6 +3,7 @@ import json
 import pytest
 
 import quasibps.cli as cli
+from quasibps import oracle
 from quasibps.verify import CheckResult
 
 TORIC1 = {"vertices": ["0", "1"], "arrows": [[1, 3], [3, 1]]}
@@ -61,6 +62,16 @@ def test_magic_count_checked_and_threads(capsys):
                        "--threads", "2", "--output", "json")
     assert code == 0
     assert json.loads(out) == {"magic_k0_dim": 3}
+
+
+def test_checked_disagreement_exits_five(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "window_count_dfs", lambda q, d, delta: 4)
+    code, out, err = run(capsys, "magic-count", "--loops", "3", "--dim", "3",
+                         "--v", "1", "--fast-membership", "checked")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: window counts disagree") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, capsys):

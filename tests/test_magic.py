@@ -1,6 +1,10 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibps.errors import (
     AsymmetricQuiverError,
@@ -122,3 +126,51 @@ def test_count_cutoff_and_force():
 
 def test_force_above_indicator_cutoff_skips_the_filter():
     assert magic_dimension_v(loop_quiver(0), (17,), 0, force=True) == 0
+
+
+def test_jobs_start_no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert magic_dimension_v(loop_quiver(3), (3,), 1, jobs=5) == 3
+
+
+@st.composite
+def window_cases(draw):
+    """A symmetric quiver with at most 3 vertices and at most 2 arrows per
+    pair, d with 1 <= |d| <= 5, and a central weight with denominators at
+    most 6: either the spread of an integer v or one rational per vertex."""
+    nv = draw(st.integers(1, 3))
+    arrows = [[0] * nv for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i, nv):
+            arrows[i][j] = arrows[j][i] = draw(st.integers(0, 2))
+    total = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nv - 1, max_size=nv - 1)))
+    d = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    if draw(st.booleans()):
+        delta = CentralWeight.spread(d, draw(st.integers(-total, 2 * total)))
+    else:
+        delta = CentralWeight(tuple(
+            draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+            for _ in range(nv)))
+    return Quiver(tuple(map(str, range(nv))), arrows), d, delta
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases())
+def test_count_matches_naive_box_scan(case):
+    q, d, delta = case
+    assert magic_dimension(q, d, delta) == lattice_count_naive(q, d, delta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases())
+def test_count_is_shift_and_duality_invariant(case):
+    q, d, delta = case
+    base = magic_dimension(q, d, delta)
+    ones = CentralWeight((1,) * q.num_vertices)
+    assert magic_dimension(q, d, delta + ones) == base
+    assert magic_dimension(q, d, CentralWeight(tuple(-x for x in delta.values))) == base
