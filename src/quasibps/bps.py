@@ -11,9 +11,11 @@ integer tuples (c_1, ..., c_d) with
 Those constraints confine every entry to an explicit box.  The scan runs
 over the reversed sequence, where the rest of the count depends only on the
 position, the previous entry and the partial sum, so it is memoized on that
-triple.  The assembly side combines a table of per-part block dimensions
-over the admissible partitions of a central weight, multiplying
-symmetric-power dimensions over repeated parts.
+triple.  A branch is cut when even its largest completion, whose entries
+climb by 2g up to the top of the box, sums below v; that sum has a closed
+form.  The assembly side combines a table of per-part block dimensions over
+the admissible partitions of a central weight, multiplying symmetric-power
+dimensions over repeated parts.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .weights import CentralWeight
 
 def score_sequence_count(g: int, d: int, v: int) -> int:
     """Number of score sequences for the 2g+1 loop quiver at rank d, weight v."""
-    if not isinstance(g, int) or g < 0:
+    if not is_count(g):
         raise InputSchemaError(f"loop parameter g must be a nonnegative integer, got {g!r}")
-    if not isinstance(d, int) or d < 1:
+    if not is_count(d) or d < 1:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
     lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
     hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
@@ -56,7 +58,9 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
             acc2 = acc + b
             if d * acc2 > v * (j + 1):
                 break
-            ceiling = acc2 + sum(min(hi, b + 2 * g * (t + 1)) for t in range(rest))
+            # the largest completion climbs by 2g from b for s entries, then stays at hi
+            s = rest if g == 0 else min(rest, (hi - b) // (2 * g))
+            ceiling = acc2 + s * b + g * s * (s + 1) + (rest - s) * hi
             if ceiling < v:
                 continue
             count += walk(j + 1, b, acc2)

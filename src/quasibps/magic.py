@@ -25,7 +25,9 @@ c(k_rest) = min over the fixed profiles of F - sum T, so the walk is
 memoized on (block, c, total).  Each intermediate block enumerates its
 nondecreasing sequences, pruned with lower bounds on the later blocks' top
 sums; the last block is counted by a dynamic programme over (position,
-previous value, prefix sum) under the caps.  No membership test runs and no
+previous value, prefix sum) under the caps.  Slot ranges come from the
+single-slot profiles, and every bound is an integer scaled by 2 lcm of the
+denominators of delta: no zonotope is built, no membership test runs and no
 process starts.  ``fast="checked"`` also runs the flow-membership reference
 ``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
 two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
@@ -34,14 +36,12 @@ two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, product
 
 from . import oracle
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
-from .quiver import Quiver, check_dim_vector, require_symmetric, slot_blocks, total_dim
-from .weights import CentralWeight, weyl_vector
-from .zonotope import bounding_box, weight_zonotope
+from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, slot_blocks, total_dim
+from .weights import CentralWeight
 
 COUNT_CUTOFF = 12  # refuse larger total ranks unless force=True
 
@@ -64,7 +64,7 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
             f"total rank {n} above counting cutoff {COUNT_CUTOFF}; use force to override")
     if fast not in _FAST_MODES:
         raise InputSchemaError(f"unknown fast-membership mode {fast!r}")
-    if not isinstance(jobs, int) or jobs < 1:
+    if not is_count(jobs) or jobs < 1:
         raise InputSchemaError(f"jobs must be a positive integer, got {jobs!r}")
 
     count = _window_count(q, d, delta)
@@ -83,40 +83,46 @@ def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
     return magic_dimension(q, d, CentralWeight.spread(d, v), **kwargs)
 
 
-def _slot_bounds(q, d, delta):
-    """Integer per-slot ranges for candidate weights, or None when empty."""
-    n = total_dim(d)
-    z = weight_zonotope(q, d)
-    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
-    box = bounding_box(z)
+def _scaled_delta(delta):
+    """D = 2 lcm(denominators of delta) and the integers D delta_i."""
+    scale = 2 * math.lcm(*(x.denominator for x in delta.values))
+    return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
+
+
+def _slot_bounds(q, d, scale, sdelta):
+    """Integer per-slot ranges for candidate weights, or None when empty: the
+    single-slot cut gives |x_p| <= w_i = (sum_j m_ij d_j - m_ii)/2 in block i."""
     lo, hi = [], []
-    for p in range(n):
-        lo.append(math.ceil(box[p][0] + shift[p]))
-        hi.append(math.floor(box[p][1] + shift[p]))
-        if lo[p] > hi[p]:
-            return None
+    for i, m in enumerate(d):
+        width = scale // 2 * (sum(a * dj for a, dj in zip(q.arrows[i], d)) - q.arrows[i][i])
+        for a in range(1, m + 1):
+            mid = sdelta[i] - scale // 2 * (2 * a - m - 1)  # D (delta_i - rho_p)
+            lo.append(-((width - mid) // scale))
+            hi.append((width + mid) // scale)
+            if lo[-1] > hi[-1]:
+                return None
     return lo, hi
 
 
-def _cut_table(q, d, delta, verts) -> list[int]:
+def _cut_table(q, d, scale, sdelta, verts) -> list[int]:
     """F(k) = floor(H(k)) over the profiles of the blocks ``verts``, first most significant."""
     out = []
     for k in product(*(range(d[i] + 1) for i in verts)):
-        h = Fraction(0)
+        h = 0  # D H(k)
         for a, i in enumerate(verts):
-            h += sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) * k[a]
-            h -= k[a] * (d[i] - k[a])
-        h = h / 2 + sum(k[a] * delta.values[i] for a, i in enumerate(verts))
-        out.append(math.floor(h))
+            cut = sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) - d[i] + k[a]
+            h += k[a] * (scale // 2 * cut + sdelta[i])
+        out.append(h // scale)
     return out
 
 
 def _window_count(q, d, delta) -> int:
-    total = delta.total_pairing(d)
-    if total.denominator != 1:
+    delta.expand(d)  # refuses a central weight with another vertex count
+    scale, sdelta = _scaled_delta(delta)
+    v, off = divmod(sum(m * x for m, x in zip(d, sdelta)), scale)
+    if off:
         return 0  # the window misses the integer slice of the sum hyperplane
-    v = int(total)
-    bounds = _slot_bounds(q, d, delta)
+    bounds = _slot_bounds(q, d, scale, sdelta)
     if bounds is None:
         return 0
     lo, hi = bounds
@@ -170,7 +176,7 @@ def _window_count(q, d, delta) -> int:
         memo[key] = count
         return count
 
-    return solve(0, tuple(_cut_table(q, d, delta, verts)), 0)
+    return solve(0, tuple(_cut_table(q, d, scale, sdelta, verts)), 0)
 
 
 def _slot_choices(blo, bhi, need_lo, need_hi):

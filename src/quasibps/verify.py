@@ -121,8 +121,12 @@ def _loop_sweep():
 
 
 def check_score_route_agreement():
-    """Window counts equal score-sequence counts on the odd-loop sweep."""
-    counts = _loop_sweep()
+    """Window counts equal score-sequence counts on the odd-loop sweep and ranks 8 to 16."""
+    counts = dict(_loop_sweep())
+    for g, ranks in ((1, (8, 10, 12, 14, 16)), (2, (8, 10, 12))):
+        for d in ranks:
+            for v in (0, 1, d // 2):
+                counts[(g, d, v)] = magic_dimension_v(loop_quiver(2 * g + 1), (d,), v, force=True)
     fails = []
     for (g, d, v), got in counts.items():
         want = score_sequence_count(g, d, v)

@@ -56,6 +56,10 @@ def test_score_sequence_input_errors():
         score_sequence_count(-1, 2, 0)
     with pytest.raises(InputSchemaError):
         score_sequence_count(1, 0, 0)
+    with pytest.raises(InputSchemaError):
+        score_sequence_count(True, 3, 1)
+    with pytest.raises(InputSchemaError):
+        score_sequence_count(1, True, 1)
 
 
 def test_partition_count_values():

@@ -1,6 +1,8 @@
+import math
 import multiprocessing
 import os
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,17 @@ from quasibps.errors import (
     CutoffExceededError,
     InputSchemaError,
 )
-from quasibps.magic import magic_dimension, magic_dimension_v
+from quasibps.magic import (
+    _cut_table,
+    _scaled_delta,
+    _slot_bounds,
+    magic_dimension,
+    magic_dimension_v,
+)
 from quasibps.oracle import lattice_count_naive
-from quasibps.quiver import Quiver, loop_quiver, total_dim
-from quasibps.weights import CentralWeight
+from quasibps.quiver import Quiver, loop_quiver, slot_blocks, total_dim
+from quasibps.weights import CentralWeight, weyl_vector
+from quasibps.zonotope import bounding_box, contains, weight_zonotope
 
 TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(3)}
 CROSS = Quiver(("a", "b"), ((1, 2), (2, 1)))
@@ -113,6 +122,10 @@ def test_input_errors():
         magic_dimension_v(loop_quiver(1), (2,), 0, fast="sometimes")
     with pytest.raises(InputSchemaError):
         magic_dimension_v(loop_quiver(1), (2,), 0, jobs=0)
+    with pytest.raises(InputSchemaError):
+        magic_dimension_v(loop_quiver(3), (3,), 1, jobs=True)
+    with pytest.raises(InputSchemaError):
+        magic_dimension(TORIC[1], (1, 1), CentralWeight((1,)))
 
 
 def test_count_cutoff_and_force():
@@ -174,3 +187,51 @@ def test_count_is_shift_and_duality_invariant(case):
     ones = CentralWeight((1,) * q.num_vertices)
     assert magic_dimension(q, d, delta + ones) == base
     assert magic_dimension(q, d, CentralWeight(tuple(-x for x in delta.values))) == base
+
+
+def _box_ranges(q, d, delta):
+    """Slot ranges of the bounding box shifted by delta - rho, None if one is empty."""
+    shift = [x - r for x, r in zip(delta.expand(d), weyl_vector(d))]
+    ranges = [(math.ceil(a + s), math.floor(b + s))
+              for (a, b), s in zip(bounding_box(weight_zonotope(q, d)), shift)]
+    if any(a > b for a, b in ranges):
+        return None
+    return [a for a, _ in ranges], [b for _, b in ranges]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases())
+def test_slot_bounds_match_bounding_box(case):
+    q, d, delta = case
+    assert _slot_bounds(q, d, *_scaled_delta(delta)) == _box_ranges(q, d, delta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases())
+def test_weyl_cut_rule_matches_flow_membership(case):
+    q, d, delta = case
+    total = delta.total_pairing(d)
+    ranges = _box_ranges(q, d, delta)
+    if total.denominator != 1 or ranges is None:
+        return
+    # one step beyond the box on each side, so that points outside it are tested too
+    lo = [x - 1 for x in ranges[0]]
+    hi = [x + 1 for x in ranges[1]]
+    verts = [i for i, m in enumerate(d) if m]
+    table = _cut_table(q, d, *_scaled_delta(delta), verts)
+    cuts = list(zip(product(*(range(d[i] + 1) for i in verts)), table))
+    # the dominant chi in the ranges: one nondecreasing tuple per nonzero block
+    per_block = []
+    for b0, b1 in (slot_blocks(d)[i] for i in verts):
+        values = range(min(lo[b0:b1]), max(hi[b0:b1]) + 1)
+        per_block.append([c for c in combinations_with_replacement(values, b1 - b0)
+                          if all(a <= x <= b for a, x, b in zip(lo[b0:b1], c, hi[b0:b1]))])
+    z = weight_zonotope(q, d)
+    shift = [x - r for x, r in zip(delta.expand(d), weyl_vector(d))]
+    for parts in product(*per_block):
+        chi = [x for part in parts for x in part]
+        if sum(chi) != total:
+            continue
+        weyl = all(sum(sum(part[len(part) - k:]) for part, k in zip(parts, ks)) <= cap
+                   for ks, cap in cuts)
+        assert weyl == contains(z, tuple(c - s for c, s in zip(chi, shift)))
