@@ -2,6 +2,10 @@
 
 Everything is computed in exact rational arithmetic; no predicate in the
 package ever touches floating point.
+
+The names from ``oracle``, ``verify`` and ``zonotope`` (the reference
+routes, the self-checks and the weight zonotope) are imported on first use,
+so a command that needs none of them does not load them.
 """
 
 from .bps import (
@@ -24,7 +28,6 @@ from .errors import (
     RouteDisagreementError,
 )
 from .magic import magic_dimension, magic_dimension_v
-from .oracle import partition_indicator_blockwise
 from .partitions import (
     VectorPartition,
     admissible_partitions,
@@ -45,7 +48,6 @@ from .quiver import (
     triple,
     weight_multisets,
 )
-from .verify import CheckResult, report_dict, report_json, run_checks
 from .weights import (
     CentralWeight,
     integrality_indicator,
@@ -58,6 +60,23 @@ from .weights import (
     weyl_vector,
     window_width,
 )
-from .zonotope import Zonotope, bounding_box, contains, contains_fast, support, weight_zonotope
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "partition_indicator_blockwise": "oracle",
+    **dict.fromkeys(("CheckResult", "report_dict", "report_json", "run_checks"), "verify"),
+    **dict.fromkeys(("Zonotope", "bounding_box", "contains", "contains_fast", "support",
+                     "weight_zonotope"), "zonotope"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

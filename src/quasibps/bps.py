@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputSchemaError, MissingBlockError
 from .partitions import admissible_partitions
-from .quiver import DimVector, Quiver, check_dim_vector, is_count
+from .quiver import DimVector, Quiver, _Record, check_dim_vector, is_count, is_int
 from .weights import CentralWeight
 
 
@@ -37,6 +36,8 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
         raise InputSchemaError(f"loop parameter g must be a nonnegative integer, got {g!r}")
     if not is_count(d) or d < 1:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
+    if not is_int(v):
+        raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
     lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
     hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
     memo: dict[tuple[int, int, int], int] = {}
@@ -90,8 +91,7 @@ def sym_power_dim(n: int, m: int) -> int:
     return math.comb(n + m - 1, m)
 
 
-@dataclass(frozen=True)
-class BlockDimTable:
+class BlockDimTable(_Record):
     """Per-part block dimensions feeding the assembly.
 
     ``dims`` maps dimension vectors to total dimensions; ``default_dim``, when
@@ -101,17 +101,14 @@ class BlockDimTable:
     equivariant computation is attempted here.
     """
 
-    dims: tuple[tuple[DimVector, int], ...]
-    monodromy: str = "trivial"
-    default_dim: int | None = None
-    invariant_dim: int | None = None
+    __slots__ = ("dims", "monodromy", "default_dim", "invariant_dim")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "dims",
-            tuple(sorted((tuple(p), int(v)) for p, v in self.dims)))
-        if self.monodromy not in ("trivial", "full-input"):
-            raise InputSchemaError(f"unknown monodromy flag {self.monodromy!r}")
+    def __init__(self, dims: tuple[tuple[DimVector, int], ...], monodromy: str = "trivial",
+                 default_dim: int | None = None, invariant_dim: int | None = None):
+        dims = tuple(sorted((tuple(p), int(v)) for p, v in dims))
+        if monodromy not in ("trivial", "full-input"):
+            raise InputSchemaError(f"unknown monodromy flag {monodromy!r}")
+        self._init(dims, monodromy, default_dim, invariant_dim)
 
     def dim_for(self, part: DimVector) -> int:
         for p, val in self.dims:

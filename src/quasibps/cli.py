@@ -37,7 +37,6 @@ from .errors import (
 from .magic import magic_dimension
 from .partitions import admissible_partitions, find_central_weight
 from .quiver import Quiver, load_quiver, loop_quiver
-from .verify import report_dict, report_json, run_checks
 from .weights import CentralWeight
 
 
@@ -168,6 +167,8 @@ def cmd_find_delta(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the self-checks; loaded only by this command
+
     def progress(r):
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  [{r.anchor}]  {r.ms} ms",
               file=sys.stderr)
@@ -178,14 +179,14 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise InputSchemaError(f"cannot write report {args.report}: {exc}")
     with report as fh:
-        results = run_checks(deep=args.deep, progress=progress if not args.quiet else None)
-        text = report_json(results)
+        results = verify.run_checks(deep=args.deep, progress=progress if not args.quiet else None)
+        text = verify.report_json(results)
         if fh is not None:
             fh.write(text + "\n")
     if args.output == "json":
         print(text)
     else:
-        for row in report_dict(results)["checks"]:
+        for row in verify.report_dict(results)["checks"]:
             status = "pass" if row["pass"] else "FAIL"
             print(f"{status}  {row['name']:<24} {row['ms']:>7} ms  {row['anchor']}")
             if not row["pass"]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from itertools import accumulate, product
 
-from . import oracle
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
 from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, slot_blocks, total_dim
 from .weights import CentralWeight
@@ -69,6 +68,7 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
 
     count = _window_count(q, d, delta)
     if fast == "checked":
+        from . import oracle  # the reference route; loaded only when asked for
         reference = oracle.window_count_dfs(q, d, delta)
         if reference != count:
             raise RouteDisagreementError(

@@ -17,7 +17,6 @@ parts are kept in ``oracle`` as references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -25,6 +24,7 @@ from .errors import CutoffExceededError, InputSchemaError
 from .quiver import (
     DimVector,
     Quiver,
+    _Record,
     check_dim_vector,
     is_count,
     require_symmetric,
@@ -35,24 +35,23 @@ from .weights import CentralWeight
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
 
 
-@dataclass(frozen=True)
-class VectorPartition:
+class VectorPartition(_Record):
     """Unordered multiset of nonzero dimension vectors, stored canonically.
 
     Parts are sorted in decreasing lexicographic order so equal multisets
     compare and hash equal.
     """
 
-    parts: tuple[DimVector, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(sorted((tuple(p) for p in self.parts), reverse=True))
+    def __init__(self, parts: tuple[DimVector, ...]):
+        parts = tuple(sorted((tuple(p) for p in parts), reverse=True))
         for p in parts:
             if not any(p):
                 raise InputSchemaError("partition contains a zero part")
             if not all(map(is_count, p)):
                 raise InputSchemaError(f"partition part {p!r} is not a nonnegative vector")
-        object.__setattr__(self, "parts", parts)
+        self._init(parts)
 
     @property
     def length(self) -> int:

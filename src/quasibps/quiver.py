@@ -14,37 +14,75 @@ All types here are immutable and hashable; functions return new objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import AsymmetricQuiverError, InputSchemaError
 
 DimVector = tuple[int, ...]
 
 
+def is_int(m) -> bool:
+    """An int; bools are refused although they are ints."""
+    return isinstance(m, int) and not isinstance(m, bool)
+
+
 def is_count(m) -> bool:
     """A nonnegative int; bools are refused although they are ints."""
-    return isinstance(m, int) and not isinstance(m, bool) and m >= 0
+    return is_int(m) and m >= 0
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[int, ...], ...]
-    potential: str | None = None  # opaque tag such as "tripled"; never evaluated
+class _Record:
+    """Frozen record whose ``__slots__`` name its fields: equality (same class
+    only), hash and repr of the field tuple, as a frozen dataclass has them.
+    A subclass ``__init__`` validates, then stores the fields with ``_init``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(_Record):
+    __slots__ = ("vertices", "arrows", "potential")
+
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[tuple[int, ...], ...],
+                 potential: str | None = None):  # opaque tag such as "tripled"; never evaluated
+        vertices = tuple(str(v) for v in vertices)
         try:
-            object.__setattr__(self, "arrows", tuple(tuple(row) for row in self.arrows))
+            arrows = tuple(tuple(row) for row in arrows)
         except TypeError:
             raise InputSchemaError("arrows must be a matrix of nonnegative integers")
-        n = len(self.vertices)
+        n = len(vertices)
         if n == 0:
             raise InputSchemaError("quiver needs at least one vertex")
-        if len(self.arrows) != n:
+        if len(arrows) != n:
             raise InputSchemaError(
-                f"arrows has {len(self.arrows)} rows, expected {n}")
-        for i, row in enumerate(self.arrows):
+                f"arrows has {len(arrows)} rows, expected {n}")
+        for i, row in enumerate(arrows):
             if len(row) != n:
                 raise InputSchemaError(
                     f"arrows[{i}] has {len(row)} entries, expected {n}")
@@ -52,6 +90,7 @@ class Quiver:
                 if not is_count(m):
                     raise InputSchemaError(
                         f"arrows[{i}][{j}] = {m!r} is not a nonnegative integer")
+        self._init(vertices, arrows, potential)
 
     @property
     def num_vertices(self) -> int:
@@ -129,8 +168,7 @@ def slot_blocks(d) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(_Record):
     """Multiset of slot-difference weights ``e_p - e_q``.
 
     Entries are ``((p, q), multiplicity)``.  Entries with ``p == q`` are zero
@@ -138,7 +176,10 @@ class WeightMultiset:
     representation, but they contribute nothing to pairings or polytopes.
     """
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...]):
+        self._init(entries)
 
     def size(self) -> int:
         """Total cardinality, multiplicities and zero weights included."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -39,19 +38,22 @@ from .partitions import (
     find_central_weight,
     partition_indicator,
 )
-from .quiver import Quiver, loop_quiver, total_dim, triple
+from .quiver import Quiver, _Record, loop_quiver, total_dim, triple
 from .weights import CentralWeight, window_width
 from .zonotope import bounding_box, contains, contains_fast, support, weight_zonotope
 
 
-@dataclass
-class CheckResult:
-    name: str
-    anchor: str
-    expected: str
-    computed: str
-    passed: bool
-    ms: int
+class CheckResult(_Record):
+    """One check's outcome; unlike the other records it is mutable."""
+
+    __slots__ = ("name", "anchor", "expected", "computed", "passed", "ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, anchor: str, expected: str, computed: str,
+                 passed: bool, ms: int):
+        self._init(name, anchor, expected, computed, passed, ms)
 
 
 def toric_quiver(g: int) -> Quiver:

@@ -15,14 +15,15 @@ once; this pair is the one used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputSchemaError
 from .quiver import (
     DimVector,
     Quiver,
+    _Record,
     check_dim_vector,
+    is_int,
     require_symmetric,
     slot_blocks,
     total_dim,
@@ -71,18 +72,17 @@ def is_antidominant(lam, d) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CentralWeight:
+class CentralWeight(_Record):
     """A rational weight constant on every vertex block, stored per vertex.
 
     Constant-on-blocks is exactly Weyl invariance, so instances can be added
     and scaled freely without leaving the class.
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+    def __init__(self, values: tuple[Fraction, ...]):
+        self._init(tuple(Fraction(v) for v in values))
 
     @classmethod
     def zero(cls, num_vertices: int) -> "CentralWeight":
@@ -95,6 +95,8 @@ class CentralWeight:
         Its pairing with the diagonal cocharacter is exactly v; this is the
         standard way an integer weight parameter enters the theory.
         """
+        if not is_int(v):
+            raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
         t = total_dim(d)
         if t == 0:
             raise InputSchemaError("cannot spread a weight over a zero dimension vector")

@@ -23,19 +23,17 @@ Two membership routes are kept deliberately independent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .errors import CutoffExceededError, InputSchemaError
-from .quiver import Quiver, check_dim_vector, total_dim, weight_multisets
+from .quiver import Quiver, _Record, check_dim_vector, total_dim, weight_multisets
 
 INDICATOR_CUTOFF = 16  # 2^dim inequalities; refuse above this ambient dimension
 
 
-@dataclass(frozen=True)
-class Zonotope:
+class Zonotope(_Record):
     """Minkowski sum of segments [0, length * direction], all starting at 0.
 
     Directions are integer vectors; for everything built by
@@ -43,8 +41,10 @@ class Zonotope:
     is 1/2, one generator per multiset element.
     """
 
-    dim: int
-    generators: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("dim", "generators")
+
+    def __init__(self, dim: int, generators: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        self._init(dim, generators)
 
 
 def weight_zonotope(q: Quiver, d) -> Zonotope:

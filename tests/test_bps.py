@@ -60,6 +60,10 @@ def test_score_sequence_input_errors():
         score_sequence_count(True, 3, 1)
     with pytest.raises(InputSchemaError):
         score_sequence_count(1, True, 1)
+    with pytest.raises(InputSchemaError):
+        score_sequence_count(1, 3, 0.5)
+    with pytest.raises(InputSchemaError):
+        score_sequence_count(1, 3, True)
 
 
 def test_partition_count_values():
@@ -91,6 +95,10 @@ def test_block_table_lookup():
         table.dim_for((3,))
     with_default = BlockDimTable((), default_dim=1)
     assert with_default.dim_for((7,)) == 1
+    assert with_default == BlockDimTable((), "trivial", 1)
+    table = BlockDimTable(dims=[((1,), 2)], monodromy="full-input", invariant_dim=3)
+    assert table == BlockDimTable((((1,), 2),), "full-input", None, 3)
+    assert table != BlockDimTable((((1,), 2),), "full-input", None, 4)
     with pytest.raises(InputSchemaError):
         BlockDimTable((), monodromy="mysterious")
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import quasibps.cli as cli
-from quasibps import oracle
+from quasibps import oracle, verify
 from quasibps.verify import CheckResult
 
 TORIC1 = {"vertices": ["0", "1"], "arrows": [[1, 3], [3, 1]]}
@@ -170,7 +170,7 @@ FAKE_FAIL = [CheckResult("alpha", "first anchor", "1", "1", True, 3),
 
 
 def test_verify_pass_report(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_checks", lambda deep=False, progress=None: FAKE_PASS)
+    monkeypatch.setattr(verify, "run_checks", lambda deep=False, progress=None: FAKE_PASS)
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "--quiet", "--report", str(report),
                          "--output", "json")
@@ -188,7 +188,7 @@ def test_verify_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
     def must_not_run(deep=False, progress=None):
         raise AssertionError("checks ran before the report path was opened")
 
-    monkeypatch.setattr(cli, "run_checks", must_not_run)
+    monkeypatch.setattr(verify, "run_checks", must_not_run)
     report = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "verify", "--quiet", "--report", str(report))
     assert code == 2
@@ -197,7 +197,7 @@ def test_verify_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_checks", lambda deep=False, progress=None: FAKE_FAIL)
+    monkeypatch.setattr(verify, "run_checks", lambda deep=False, progress=None: FAKE_FAIL)
     code, out, _ = run(capsys, "verify", "--quiet")
     assert code == 1
     assert "FAIL" in out
@@ -212,7 +212,7 @@ def test_verify_progress_goes_to_stderr(monkeypatch, capsys):
                 progress(r)
         return FAKE_PASS
 
-    monkeypatch.setattr(cli, "run_checks", fake_run)
+    monkeypatch.setattr(verify, "run_checks", fake_run)
     code, out, err = run(capsys, "verify")
     assert code == 0
     assert "alpha" in err and "PASS" in err

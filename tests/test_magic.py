@@ -125,6 +125,10 @@ def test_input_errors():
     with pytest.raises(InputSchemaError):
         magic_dimension_v(loop_quiver(3), (3,), 1, jobs=True)
     with pytest.raises(InputSchemaError):
+        magic_dimension_v(loop_quiver(3), (3,), 0.5)
+    with pytest.raises(InputSchemaError):
+        magic_dimension_v(loop_quiver(3), (3,), True)
+    with pytest.raises(InputSchemaError):
         magic_dimension(TORIC[1], (1, 1), CentralWeight((1,)))
 
 

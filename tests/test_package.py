@@ -1,0 +1,73 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quasibps
+
+# every name the package re-exported eagerly before the lazy layer, by home module
+EXPORTS = {
+    "bps": ["BlockDimTable", "block_table_from_dict", "block_table_to_dict", "bps_assembly_dim",
+            "builtin_block_table", "ktheory_dim_from_bps", "load_block_table",
+            "partition_count", "score_sequence_count", "sym_power_dim"],
+    "errors": ["AsymmetricQuiverError", "CutoffExceededError", "InputSchemaError",
+               "MissingBlockError", "RouteDisagreementError"],
+    "magic": ["magic_dimension", "magic_dimension_v"],
+    "oracle": ["partition_indicator_blockwise"],
+    "partitions": ["VectorPartition", "admissible_partitions", "enumerate_vector_partitions",
+                   "find_central_weight", "partition_indicator"],
+    "quiver": ["Quiver", "WeightMultiset", "double", "is_symmetric", "load_quiver",
+               "loop_quiver", "quiver_from_dict", "quiver_to_dict", "total_dim", "triple",
+               "weight_multisets"],
+    "verify": ["CheckResult", "report_dict", "report_json", "run_checks"],
+    "weights": ["CentralWeight", "integrality_indicator", "is_antidominant", "is_dominant",
+                "level_partition", "ones_vector", "pairing", "parse_rational", "weyl_vector",
+                "window_width"],
+    "zonotope": ["Zonotope", "bounding_box", "contains", "contains_fast", "support",
+                 "weight_zonotope"],
+}
+
+COLD_START = """
+import json, sys
+import quasibps, quasibps.cli
+from quasibps import CentralWeight, Quiver, magic_dimension
+watched = ("quasibps.verify", "quasibps.oracle", "quasibps.zonotope", "dataclasses")
+after_import = [m for m in watched if m in sys.modules]
+q, d, delta = Quiver(("0", "1"), ((1, 3), (3, 1))), (2, 2), CentralWeight((1, 0))
+fast = magic_dimension(q, d, delta)
+checked = magic_dimension(q, d, delta, fast="checked")
+print(json.dumps([after_import, fast, checked, "quasibps.oracle" in sys.modules]))
+"""
+
+
+def test_cli_import_loads_only_the_command_path():
+    src = str(Path(quasibps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    after_import, fast, checked, oracle_loaded = json.loads(out)
+    assert after_import == []
+    assert fast == checked > 0
+    assert oracle_loaded
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_exports_resolve_to_their_home_module(module):
+    home = importlib.import_module(f"quasibps.{module}")
+    for name in EXPORTS[module]:
+        namespace = {}
+        exec(f"from quasibps import {name}", namespace)
+        assert namespace[name] is getattr(home, name)
+        assert name in dir(quasibps)
+
+
+def test_unknown_package_name_raises():
+    with pytest.raises(AttributeError):
+        quasibps.no_such_name
+    with pytest.raises(ImportError):
+        exec("from quasibps import no_such_name", {})

@@ -16,7 +16,7 @@ from quasibps.partitions import (
     find_central_weight,
     partition_indicator,
 )
-from quasibps.quiver import Quiver, loop_quiver, total_dim, triple
+from quasibps.quiver import Quiver, WeightMultiset, loop_quiver, total_dim, triple
 from quasibps.weights import CentralWeight
 
 TORIC1 = Quiver(("0", "1"), ((1, 3), (3, 1)))
@@ -28,6 +28,11 @@ def test_vector_partition_canonical():
     b = VectorPartition(((1, 1), (1, 0), (1, 0)))
     assert a == b
     assert hash(a) == hash(b)
+    assert a == VectorPartition(parts=[(1, 0), (1, 1), (1, 0)])
+    # equal fields, different record class or a bare tuple: never equal
+    assert VectorPartition(((1,),)) != WeightMultiset(((1,),))
+    assert VectorPartition(((1,),)) != CentralWeight((1,))
+    assert a != (a.parts,)
     assert a.parts == ((1, 1), (1, 0), (1, 0))
     assert a.length == 3
     assert a.vector_sum() == (3, 1)

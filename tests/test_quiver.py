@@ -1,8 +1,13 @@
+import copy
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
 
+from quasibps.bps import BlockDimTable
 from quasibps.errors import AsymmetricQuiverError, InputSchemaError
+from quasibps.partitions import VectorPartition
 from quasibps.quiver import (
     Quiver,
     WeightMultiset,
@@ -19,6 +24,9 @@ from quasibps.quiver import (
     triple,
     weight_multisets,
 )
+from quasibps.verify import CheckResult
+from quasibps.weights import CentralWeight
+from quasibps.zonotope import Zonotope
 
 
 def test_construction_normalizes_to_tuples():
@@ -28,6 +36,11 @@ def test_construction_normalizes_to_tuples():
     assert q.potential is None
     assert q.num_vertices == 2
     assert hash(q) == hash(Quiver(("a", "b"), ((0, 2), (2, 1))))
+    assert q == Quiver(arrows=[[0, 2], [2, 1]], vertices=["a", "b"])
+    assert q != Quiver(("a", "b"), ((0, 2), (2, 1)), potential="tripled")
+    tagged = Quiver(vertices=("a",), arrows=((1,),), potential="tripled")
+    assert tagged.potential == "tripled"
+    assert tagged == Quiver(("a",), ((1,),), "tripled")
 
 
 def test_construction_rejects_bad_shapes():
@@ -156,3 +169,38 @@ def test_json_schema_errors(tmp_path):
         load_quiver(path)
     with pytest.raises(InputSchemaError):
         load_quiver(tmp_path / "missing.json")
+
+
+# one instance of each value record, with the repr a dataclass gave it
+RECORDS = [
+    (Quiver(("0",), ((3,),)), "Quiver(vertices=('0',), arrows=((3,),), potential=None)"),
+    (WeightMultiset((((0, 1), 2),)), "WeightMultiset(entries=(((0, 1), 2),))"),
+    (CentralWeight((Fraction(1, 2),)), "CentralWeight(values=(Fraction(1, 2),))"),
+    (VectorPartition(((1,), (2,))), "VectorPartition(parts=((2,), (1,)))"),
+    (BlockDimTable((), default_dim=1),
+     "BlockDimTable(dims=(), monodromy='trivial', default_dim=1, invariant_dim=None)"),
+    (Zonotope(dim=2, generators=(((1, -1), Fraction(1, 2)),)),
+     "Zonotope(dim=2, generators=(((1, -1), Fraction(1, 2)),))"),
+    (CheckResult("a", "anchor", "1", "2", False, 3),
+     "CheckResult(name='a', anchor='anchor', expected='1', computed='2', passed=False, ms=3)"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_record_repr_copy_and_assignment(record, text):
+    assert repr(record) == text
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    field = text[text.index("(") + 1:text.index("=")]  # the first field, as repr names it
+    if isinstance(record, CheckResult):  # the one mutable, unhashable record
+        changed = copy.copy(record)
+        changed.name = "b"
+        assert changed.name == "b" and changed != record
+        with pytest.raises(TypeError):
+            hash(record)
+        return
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert hash(record) == hash(copy.copy(record))

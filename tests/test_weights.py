@@ -75,6 +75,9 @@ def test_central_weight_spread():
         assert CentralWeight.spread(d, v).total_pairing(d) == v
     with pytest.raises(InputSchemaError):
         CentralWeight.spread((0, 0), 1)
+    for v in (0.5, True, Fraction(1, 2)):
+        with pytest.raises(InputSchemaError):
+            CentralWeight.spread((2,), v)
 
 
 def test_parse_rational():
