@@ -162,6 +162,17 @@ def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,
     return 1 if tested else "unknown"
 
 
+def _shifted_box(q: Quiver, d, delta: CentralWeight):
+    """The weight zonotope, the shift delta - rho from candidates chi to its
+    points, and the integer bounding-box ranges of chi: per slot lo and hi."""
+    z = weight_zonotope(q, d)
+    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
+    box = bounding_box(z)
+    lo = [math.ceil(b[0] + s) for b, s in zip(box, shift)]
+    hi = [math.floor(b[1] + s) for b, s in zip(box, shift)]
+    return z, shift, lo, hi
+
+
 def window_count_dfs(q: Quiver, d, delta: CentralWeight) -> int:
     """Window count by a pruned depth-first walk with flow membership per candidate.
 
@@ -178,11 +189,7 @@ def window_count_dfs(q: Quiver, d, delta: CentralWeight) -> int:
         return 0
     v = int(total)
     n = total_dim(d)
-    z = weight_zonotope(q, d)
-    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
-    box = bounding_box(z)
-    lo = [math.ceil(b[0] + s) for b, s in zip(box, shift)]
-    hi = [math.floor(b[1] + s) for b, s in zip(box, shift)]
+    z, shift, lo, hi = _shifted_box(q, d, delta)
     starts = {b0 for b0, b1 in slot_blocks(d) if b1 > b0}
     suffix_lo = [0] * (n + 1)
     suffix_hi = [0] * (n + 1)
@@ -222,15 +229,12 @@ def lattice_count_naive(q: Quiver, d, delta: CentralWeight,
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    n = total_dim(d)
-    z = weight_zonotope(q, d)
-    shift = tuple(dv - rv for dv, rv in zip(delta.expand(d), weyl_vector(d)))
+    z, shift, lo, hi = _shifted_box(q, d, delta)
     ranges = []
     size = 1
-    for p, (lo, hi) in enumerate(bounding_box(z)):
-        ints = range(math.ceil(lo + shift[p]), math.floor(hi + shift[p]) + 1)
-        ranges.append(ints)
-        size *= len(ints)
+    for a, b in zip(lo, hi):
+        ranges.append(range(a, b + 1))
+        size *= len(ranges[-1])
         if size > max_points:
             raise CutoffExceededError(
                 f"naive scan would visit more than {max_points} points")

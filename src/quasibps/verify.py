@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 from math import gcd
 
 from .bps import (
@@ -24,7 +25,7 @@ from .bps import (
     score_sequence_count,
 )
 from .errors import RouteDisagreementError
-from .magic import magic_dimension, magic_dimension_v
+from .magic import _cut_table, _scaled_delta, magic_dimension, magic_dimension_v
 from .oracle import (
     lattice_count_naive,
     partition_indicator_blockwise,
@@ -38,9 +39,9 @@ from .partitions import (
     find_central_weight,
     partition_indicator,
 )
-from .quiver import Quiver, _Record, loop_quiver, total_dim, triple
-from .weights import CentralWeight, window_width
-from .zonotope import bounding_box, contains, contains_fast, support, weight_zonotope
+from .quiver import Quiver, _Record, loop_quiver, slot_blocks, total_dim, triple
+from .weights import CentralWeight, weyl_vector, window_width
+from .zonotope import bounding_box, contains, support, weight_zonotope
 
 
 class CheckResult(_Record):
@@ -281,11 +282,14 @@ def check_membership_routes():
                 magic_dimension_v(q, d, v, fast="checked")
             except RouteDisagreementError as exc:
                 fails.append(("route disagreement", q.arrows, d, v, str(exc)))
-    # (b) central symmetry, support domination, scaling on random points
+    # (b) central symmetry, support domination, scaling and the count's
+    # Weyl cut rule against flow membership, on random points
     rng = random.Random(20260823)
-    zs = [weight_zonotope(q, d) for q, d in instances]
-    for z in zs:
+    for q, d in instances:
+        z = weight_zonotope(q, d)
         box = bounding_box(z)
+        blocks = slot_blocks(d)
+        rho = weyl_vector(d)
         for trial in range(90):
             samples += 1
             raw = [Fraction(rng.randint(4 * int(lo) - 2, 4 * int(hi) + 2), 4)
@@ -300,8 +304,6 @@ def check_membership_routes():
             inside = contains(z, x)
             if inside != contains(z, tuple(-c for c in x)):
                 fails.append(("central symmetry", z.dim, x))
-            if inside != contains_fast(z, x):
-                fails.append(("indicator disagrees", z.dim, x))
             if inside:
                 lam = tuple(rng.randint(-3, 3) for _ in range(z.dim))
                 if sum(a * b for a, b in zip(lam, x)) > support(z, lam):
@@ -309,6 +311,19 @@ def check_membership_routes():
                 half = tuple(c / 2 for c in x)
                 if not contains(z, half):
                     fails.append(("scaling", z.dim, x))
+            # a dominant integer chi with the central weight of its own sum
+            # passes every cut exactly when chi + rho - delta is inside
+            chi = [rng.randint(int(lo) - 1, int(hi) + 1) for lo, hi in box]
+            chi = [c for b0, b1 in blocks for c in sorted(chi[b0:b1])]
+            delta = CentralWeight.spread(d, sum(chi))
+            scale, sdelta = _scaled_delta(delta)
+            cuts = _cut_table(q, d, scale, sdelta, range(len(d)))
+            tops = [[0, *accumulate(reversed(chi[b0:b1]))] for b0, b1 in blocks]
+            by_cuts = all(sum(t[k] for t, k in zip(tops, ks)) <= f
+                          for ks, f in zip(product(*(range(m + 1) for m in d)), cuts))
+            shifted = tuple(c + r - e for c, r, e in zip(chi, rho, delta.expand(d)))
+            if by_cuts != contains(z, shifted):
+                fails.append(("cut rule disagrees", d, tuple(chi)))
     # (c) weight-shift and duality invariance of the counts
     for q, d in [(loop_quiver(3), (2,)), (loop_quiver(3), (3,)),
                  (toric_quiver(2), (1, 1)), (loop_quiver(2), (3,))]:

@@ -5,20 +5,15 @@ the segments [0, g/2] over the nonzero representation weights g.  For a
 symmetric quiver the generator multiset is negation-stable, so the polytope
 is centrally symmetric and lives in the sum-zero hyperplane.
 
-Two membership routes are kept deliberately independent:
-
-``contains``
-    Ground truth.  Every generator is a slot difference e_p - e_q, so
-    "x = sum t g with 0 <= t <= cap" is a capacitated flow-feasibility
-    problem once parallel generators are aggregated.  Denominators are
-    cleared and the integer problem is solved by max-flow with shortest
-    augmenting paths in a fixed arc order: exact, deterministic, terminating.
-
-``contains_fast``
-    Checks the support inequalities only for 0/1 indicator cocharacters and
-    their negations.  Sound as a rejection filter in all cases; whether it is
-    also complete is checked per instance family by the test suite, never
-    assumed.
+There is one exact membership route, ``contains``.  Every generator is a
+slot difference e_p - e_q, so "x = sum t g with 0 <= t <= cap" is a
+capacitated flow-feasibility problem once parallel generators are
+aggregated.  Denominators are cleared and the integer problem is solved by
+max-flow with shortest augmenting paths in a fixed arc order: exact,
+deterministic, terminating.  By Gale's theorem the same points are cut out
+by the support inequalities of the 0/1 indicator cocharacters, which is the
+rule the window count applies; ``verify`` checks the two against each other.
+``contains_fast`` is kept as a name and runs ``contains``.
 """
 
 from __future__ import annotations
@@ -27,10 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import CutoffExceededError, InputSchemaError
+from .errors import InputSchemaError
 from .quiver import Quiver, _Record, check_dim_vector, total_dim, weight_multisets
-
-INDICATOR_CUTOFF = 16  # 2^dim inequalities; refuse above this ambient dimension
 
 
 class Zonotope(_Record):
@@ -178,54 +171,6 @@ def contains(z: Zonotope, x) -> bool:
     return _max_flow(z.dim + 2, edges, source, sink) == need
 
 
-# --- indicator fast path ---------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _indicator_table(z: Zonotope) -> tuple[int, tuple[int, ...]]:
-    """Scaled support values over all 0/1 indicator cocharacters.
-
-    Returns (den, table) with table[mask] = den * 4 * support(indicator(mask))
-    as integers, so callers can compare with pure integer arithmetic.
-    """
-    vals = []
-    for mask in range(1 << z.dim):
-        tot = Fraction(0)
-        for vec, length in z.generators:
-            s = sum(vec[p] for p in range(z.dim) if mask >> p & 1)
-            if s > 0:
-                tot += 4 * length * s
-        vals.append(tot)
-    den = lcm(*(v.denominator for v in vals), 1)
-    return den, tuple(int(v * den) for v in vals)
-
-
 def contains_fast(z: Zonotope, x) -> bool:
-    """Indicator-inequality membership test.
-
-    Rejections are always correct.  Acceptance relies on the indicator
-    inequalities cutting out the polytope inside its hyperplane, which the
-    suite verifies against ``contains`` per instance family.
-    """
-    if z.dim > INDICATOR_CUTOFF:
-        raise CutoffExceededError(
-            f"indicator test needs 2^{z.dim} inequalities; cutoff is 2^{INDICATOR_CUTOFF}")
-    if len(x) != z.dim:
-        raise InputSchemaError(f"point length {len(x)} vs ambient dimension {z.dim}")
-    x = tuple(Fraction(v) for v in x)
-    xden = lcm(*(v.denominator for v in x), 1)
-    xs = [int(v * xden) for v in x]
-    hden, table = _indicator_table(z)
-    # subset sums by peeling the lowest bit; sums[mask] = xden * <indicator, x>
-    sums = [0] * (1 << z.dim)
-    lowest = [0] * (1 << z.dim)
-    for p in range(z.dim):
-        lowest[1 << p] = p
-    hscale = 4 * hden
-    for mask in range(1, 1 << z.dim):
-        s = sums[mask & (mask - 1)] + xs[lowest[mask & -mask]]
-        sums[mask] = s
-        limit = xden * table[mask]
-        v = hscale * s
-        if v > limit or -v > limit:
-            return False
-    return True
+    """Same as ``contains``; the name is kept for callers of the former indicator route."""
+    return contains(z, x)

@@ -88,6 +88,15 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 4 and "cutoff" in err
 
 
+def test_parser_is_reused_without_carrying_options(capsys):
+    code, out, _ = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0", "--force")
+    assert code == 0 and out.split() == ["magic_k0_dim", "0"]
+    parser = cli._parser
+    code, _, err = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0")
+    assert code == 4 and "cutoff" in err
+    assert cli._parser is parser
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -64,6 +65,17 @@ def test_package_exports_resolve_to_their_home_module(module):
         exec(f"from quasibps import {name}", namespace)
         assert namespace[name] is getattr(home, name)
         assert name in dir(quasibps)
+
+
+def test_bench_trace_targets_resolve():
+    """Every function the benchmark tracer wraps exists; a missing one reads null there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name, _ in tracing.TARGETS:
+        home = importlib.import_module(f"quasibps.{module}")
+        assert callable(getattr(home, name, None)), f"quasibps.{module}.{name}"
 
 
 def test_unknown_package_name_raises():
