@@ -73,7 +73,7 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
 
 def partition_count(n: int) -> int:
     """Number of integer partitions of n (1 for n = 0)."""
-    if not isinstance(n, int) or n < 0:
+    if not is_count(n):
         raise InputSchemaError(f"partition count needs a nonnegative integer, got {n!r}")
     table = [1] + [0] * n
     for part in range(1, n + 1):
@@ -84,8 +84,8 @@ def partition_count(n: int) -> int:
 
 def sym_power_dim(n: int, m: int) -> int:
     """Dimension of the m-th symmetric power of an n-dimensional space."""
-    if n < 0 or m < 0:
-        raise InputSchemaError(f"sym_power_dim needs nonnegative arguments, got ({n}, {m})")
+    if not (is_count(n) and is_count(m)):
+        raise InputSchemaError(f"sym_power_dim needs nonnegative integers, got ({n!r}, {m!r})")
     if n == 0:
         return 1 if m == 0 else 0
     return math.comb(n + m - 1, m)
@@ -105,10 +105,17 @@ class BlockDimTable(_Record):
 
     def __init__(self, dims: tuple[tuple[DimVector, int], ...], monodromy: str = "trivial",
                  default_dim: int | None = None, invariant_dim: int | None = None):
-        dims = tuple(sorted((tuple(p), int(v)) for p, v in dims))
+        dims = tuple((tuple(p), v) for p, v in dims)
+        for p, v in dims:
+            if not is_count(v):
+                raise InputSchemaError(f"block dimension {v!r} of part {p} is not "
+                                       "a nonnegative integer")
+        for name, v in (("default_dim", default_dim), ("invariant_dim", invariant_dim)):
+            if v is not None and not is_count(v):
+                raise InputSchemaError(f"{name} {v!r} is not a nonnegative integer")
         if monodromy not in ("trivial", "full-input"):
             raise InputSchemaError(f"unknown monodromy flag {monodromy!r}")
-        self._init(dims, monodromy, default_dim, invariant_dim)
+        self._init(tuple(sorted(dims)), monodromy, default_dim, invariant_dim)
 
     def dim_for(self, part: DimVector) -> int:
         for p, val in self.dims:

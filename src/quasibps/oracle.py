@@ -2,25 +2,24 @@
 
 Everything here is deliberately naive and shares only the core data types
 with the primary implementations: weight lists are materialized element by
-element, admissibility walks every ordering of the parts (through blockwise
-half-sums or over explicit cocharacter grids) instead of testing each part
-once, and window counts decide each candidate by flow membership, either
-scanning the entire bounding box with no structural pruning or walking the
-dominant candidates of the right coordinate sum.  Use on small instances
-only.
+element, admissibility walks every distinct permutation of the parts
+(through blockwise half-sums or over explicit cocharacter grids) instead of
+testing each part once, and window counts decide each candidate by flow
+membership, either scanning the entire bounding box with no structural
+pruning or walking the dominant candidates of the right coordinate sum.
+Use on small instances only.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import mul
 
 from .errors import CutoffExceededError
-from .partitions import VectorPartition, _partition_checked
+from .partitions import _partition_checked
 from .quiver import (
-    DimVector,
     Quiver,
     check_dim_vector,
     require_symmetric,
@@ -64,27 +63,8 @@ def window_width_bruteforce(q: Quiver, d, lam):
 
 
 def _orderings(parts):
-    """Distinct orderings of a multiset of parts, deterministic order."""
-    counts = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    keys = sorted(counts, reverse=True)
-    seq: list[DimVector] = []
-    total = len(parts)
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                seq.append(k)
-                yield from rec()
-                seq.pop()
-                counts[k] += 1
-
-    yield from rec()
+    """Distinct orderings of a multiset of parts, in decreasing order."""
+    return sorted(set(permutations(parts)), reverse=True)
 
 
 def partition_indicator_blockwise(q: Quiver, d, partition, delta: CentralWeight) -> int:
@@ -140,8 +120,7 @@ def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    if not isinstance(partition, VectorPartition):
-        partition = VectorPartition(tuple(partition))
+    partition = _partition_checked(q, d, partition)
     dexp = delta.expand(d)
     vectors = _signed_weight_vectors(q, d)
     tested = False

@@ -11,14 +11,18 @@ is symmetric for a symmetric quiver.  Modulo integers the coefficient of v_j
 in half the width plus the central pairing is E(a_j, d - a_j)/2 +
 <delta, a_j>, which does not depend on where the other parts sit.  So a
 partition is admissible exactly when each of its parts e passes that test
-on its own: the *per-part rule*.  The routes that walk the orderings of the
-parts are kept in ``oracle`` as references.
+on its own: the *per-part rule*.  The admissible set is therefore built as
+the partitions of d into admissible parts, by the same walk that lists all
+partitions; no partition with an inadmissible part is ever formed.  The
+routes that walk the orderings of the parts are kept in ``oracle`` as
+references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import le, sub
 
 from .errors import CutoffExceededError, InputSchemaError
 from .quiver import (
@@ -33,6 +37,7 @@ from .quiver import (
 from .weights import CentralWeight
 
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
+NUM_BOUND, DEN_BOUND = 2, 3  # |numerators| and denominators of the search's corrections
 
 
 class VectorPartition(_Record):
@@ -72,8 +77,10 @@ class VectorPartition(_Record):
         return "+".join("(" + ",".join(str(c) for c in p) + ")" for p in self.parts)
 
 
-def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartition]:
-    """All partitions of d into nonzero dimension vectors, canonical order."""
+def _partitions_into(d, allowed, force: bool) -> list[VectorPartition]:
+    """Partitions of d into parts that pass ``allowed``, canonical order: the
+    allowed parts are listed in decreasing order and picked with a
+    nondecreasing index, so partitions come out in decreasing order of parts."""
     d = tuple(d)
     if total_dim(d) > PARTITION_CUTOFF and not force:
         raise CutoffExceededError(
@@ -81,26 +88,28 @@ def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartiti
             "use force to override")
     if not all(map(is_count, d)):
         raise InputSchemaError(f"dimension vector {d!r} is not nonnegative")
+    parts = [e for e in product(*(range(m, -1, -1) for m in d)) if any(e) and allowed(e)]
     results: list[VectorPartition] = []
     stack: list[DimVector] = []
 
-    def candidates(rem, cap):
-        for vec in product(*(range(m, -1, -1) for m in rem)):
-            if any(vec) and vec <= cap:
-                yield vec
-
-    def rec(rem, cap):
+    def rec(rem, start):
         if not any(rem):
             results.append(VectorPartition(tuple(stack)))
             return
-        for vec in candidates(rem, cap):
-            stack.append(vec)
-            rec(tuple(r - c for r, c in zip(rem, vec)), vec)
-            stack.pop()
+        for k in range(start, len(parts)):
+            e = parts[k]
+            if all(map(le, e, rem)):
+                stack.append(e)
+                rec(tuple(map(sub, rem, e)), k)
+                stack.pop()
 
-    rec(d, d)
-    results.sort(key=lambda a: a.parts, reverse=True)
+    rec(d, 0)
     return results
+
+
+def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartition]:
+    """All partitions of d into nonzero dimension vectors, canonical order."""
+    return _partitions_into(d, lambda e: True, force)
 
 
 def _partition_checked(q, d, partition) -> VectorPartition:
@@ -136,20 +145,16 @@ def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,
     d = check_dim_vector(q, d)
     if not any(d):
         raise InputSchemaError("dimension vector is zero")
-    partitions = enumerate_vector_partitions(d, force=force)
-    admissible = {e for e in product(*(range(m + 1) for m in d))
-                  if any(e) and _part_admissible(q, d, e, delta)}
-    return tuple(a for a in partitions if admissible.issuperset(a.parts))
+    return tuple(_partitions_into(d, lambda e: _part_admissible(q, d, e, delta), force))
 
 
-def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
-                        max_num: int = 2, max_den: int = 3) -> CentralWeight | None:
+def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWeight | None:
     """Search for a central weight whose only admissible partition is {d}.
 
-    Tries the evenly spread weights with parameter 0 and 1 first, then the
-    remaining residues, then spread weights corrected by a sum-zero central
-    weight with bounded numerators and denominators.  Returns the first hit
-    in that deterministic order, or None.
+    Tries the evenly spread weights with parameter 0, 1, ..., max_v first,
+    then the same spread weights corrected by a sum-zero central weight with
+    numerators bounded by NUM_BOUND and denominators by DEN_BOUND.  Returns
+    the first hit in that deterministic order, or None.
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
@@ -159,7 +164,7 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
     target = (VectorPartition((tuple(d),)),)
     if max_v is None:
         max_v = n - 1
-    vs = [v for v in (0, 1) if v <= max_v] + list(range(2, max_v + 1))
+    vs = range(max_v + 1)
 
     def works(delta):
         return admissible_partitions(q, d, delta) == target
@@ -170,8 +175,8 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
             return delta
     for v in vs:
         base = CentralWeight.spread(d, v)
-        for den in range(1, max_den + 1):
-            for nums in product(range(-max_num, max_num + 1), repeat=len(d)):
+        for den in range(1, DEN_BOUND + 1):
+            for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d)):
                 if not any(nums):
                     continue
                 if sum(m * num for m, num in zip(d, nums)) != 0:

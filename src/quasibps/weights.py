@@ -76,13 +76,18 @@ class CentralWeight(_Record):
     """A rational weight constant on every vertex block, stored per vertex.
 
     Constant-on-blocks is exactly Weyl invariance, so instances can be added
-    and scaled freely without leaving the class.
+    and scaled freely without leaving the class.  Values must be ints or
+    Fractions: floats, bools and strings are refused, so nothing is rounded.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[Fraction, ...]):
-        self._init(tuple(Fraction(v) for v in values))
+        values = tuple(values)
+        for v in values:
+            if not (is_int(v) or isinstance(v, Fraction)):
+                raise InputSchemaError(f"central weight value {v!r} is not an int or a Fraction")
+        self._init(tuple(map(Fraction, values)))
 
     @classmethod
     def zero(cls, num_vertices: int) -> "CentralWeight":

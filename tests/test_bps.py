@@ -73,6 +73,8 @@ def test_partition_count_values():
         partition_count(-1)
     with pytest.raises(InputSchemaError):
         partition_count("3")
+    with pytest.raises(InputSchemaError):
+        partition_count(True)
 
 
 def test_sym_power_dim():
@@ -84,6 +86,9 @@ def test_sym_power_dim():
     assert sym_power_dim(0, 0) == 1
     with pytest.raises(InputSchemaError):
         sym_power_dim(-1, 0)
+    for n, m in ((True, 2), (2, True), (1.5, 2), (2, 1.0)):
+        with pytest.raises(InputSchemaError):
+            sym_power_dim(n, m)
 
 
 def test_block_table_lookup():
@@ -101,6 +106,13 @@ def test_block_table_lookup():
     assert table != BlockDimTable((((1,), 2),), "full-input", None, 4)
     with pytest.raises(InputSchemaError):
         BlockDimTable((), monodromy="mysterious")
+    for dims, default, invariant in [((((1,), 1.7),), None, None),
+                                     ((((1,), True),), None, None),
+                                     ((((1,), -1),), None, None),
+                                     ((), "x", None), ((), 1.5, None), ((), True, None),
+                                     ((), None, "foo"), ((), None, -2)]:
+        with pytest.raises(InputSchemaError):
+            BlockDimTable(dims, "full-input", default, invariant)
 
 
 def test_builtin_tables():
@@ -123,6 +135,15 @@ def test_block_table_json_round_trip(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(obj))
     assert load_block_table(path) == table
+
+
+def test_load_block_table_errors(tmp_path):
+    with pytest.raises(InputSchemaError, match="cannot read"):
+        load_block_table(tmp_path / "absent.json")
+    path = tmp_path / "broken.json"
+    path.write_text('{"blocks": [')
+    with pytest.raises(InputSchemaError, match="not valid JSON"):
+        load_block_table(path)
 
 
 def test_block_table_schema_errors():

@@ -81,6 +81,8 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and "central weight" in err
     code, _, err = run(capsys, "magic-count", "--loops", "3", "--dim", "2,2", "--v", "0")
     assert code == 2
+    code, _, err = run(capsys, "s-set", "--loops", "3", "--dim", "3,x", "--v", "0")
+    assert code == 2 and "comma-separated integers" in err
     asym = write_json(tmp_path, "asym.json", ASYM)
     code, _, err = run(capsys, "magic-count", "--quiver", asym, "--dim", "1,1", "--v", "0")
     assert code == 3 and "symmetric" in err
@@ -156,9 +158,18 @@ def test_bps_dim_errors(tmp_path, capsys):
     code, _, err = run(capsys, "bps-dim", "--quiver", toric, "--dim", "1,1",
                        "--v", "0", "--blocks", path)
     assert code == 2 and "no block dimension" in err
+    # block-table numbers must be nonnegative ints: one error line, no traceback
+    for extra in ({"default_dim": "x"}, {"default_dim": 1.5}, {"default_dim": True},
+                  {"monodromy": "full-input", "invariant_dim": "foo"}):
+        path = write_json(tmp_path, "bad_table.json", {"blocks": [], **extra})
+        code, out, err = run(capsys, "bps-dim", "--loops", "3", "--dim", "2", "--v", "0",
+                             "--flavor", "mf", "--blocks", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nonnegative integer" in err
 
 
-def test_find_delta(capsys):
+def test_find_delta(tmp_path, capsys):
     code, out, _ = run(capsys, "find-delta", "--loops", "3", "--dim", "2",
                        "--output", "json")
     assert code == 0
@@ -170,6 +181,12 @@ def test_find_delta(capsys):
                        "--max-v", "0", "--output", "json")
     assert code == 0
     assert json.loads(out) == {"delta": None, "v": None}
+    # no spread weight works here: the answer comes from the corrected weights
+    path = write_json(tmp_path, "q.json", {"vertices": ["0", "1"], "arrows": [[0, 1], [1, 1]]})
+    code, out, _ = run(capsys, "find-delta", "--quiver", path, "--dim", "2,2",
+                       "--output", "json")
+    assert code == 0
+    assert out == '{"delta":["-2/3","2/3"],"v":0}\n'
 
 
 FAKE_PASS = [CheckResult("alpha", "first anchor", "1", "1", True, 3),

@@ -130,6 +130,10 @@ def test_input_errors():
         magic_dimension_v(loop_quiver(3), (3,), True)
     with pytest.raises(InputSchemaError):
         magic_dimension(TORIC[1], (1, 1), CentralWeight((1,)))
+    with pytest.raises(InputSchemaError, match="zero"):
+        magic_dimension(TORIC[1], (0, 0), CentralWeight.zero(2))
+    with pytest.raises(InputSchemaError):
+        magic_dimension(loop_quiver(3), (2,), CentralWeight((0.5,)))
 
 
 def test_count_cutoff_and_force():

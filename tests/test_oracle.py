@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from quasibps.errors import CutoffExceededError
+from quasibps.errors import CutoffExceededError, InputSchemaError
 from quasibps.magic import magic_dimension_v
 from quasibps.oracle import (
     lattice_count_naive,
+    partition_indicator_blockwise,
     partition_indicator_sampling,
     window_width_bruteforce,
 )
@@ -38,6 +39,15 @@ def test_sampling_verdicts():
     two = ((1,), (1,))
     assert partition_indicator_sampling(q, (2,), two, CentralWeight.spread((2,), 0)) == 1
     assert partition_indicator_sampling(q, (2,), two, CentralWeight.spread((2,), 1)) == 0
+
+
+def test_sampling_checks_the_partition_sum():
+    q = loop_quiver(3)
+    delta = CentralWeight.spread((3,), 0)
+    with pytest.raises(InputSchemaError):
+        partition_indicator_sampling(q, (3,), [(1,)], delta)
+    with pytest.raises(InputSchemaError):
+        partition_indicator_blockwise(q, (3,), [(1,)], delta)
 
 
 def test_sampling_returns_unknown_off_the_grid():

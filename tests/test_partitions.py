@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,15 +131,15 @@ def test_blockwise_route_agrees():
 
 
 @st.composite
-def admissibility_cases(draw):
-    """A symmetric quiver with at most 3 vertices, d with 1 <= |d| <= 5, and a
-    central weight with denominators at most 6."""
+def admissibility_cases(draw, max_total=5):
+    """A symmetric quiver with at most 3 vertices, d with 1 <= |d| <= max_total,
+    and a central weight with denominators at most 6."""
     nv = draw(st.integers(1, 3))
     arrows = [[0] * nv for _ in range(nv)]
     for i in range(nv):
         for j in range(i, nv):
             arrows[i][j] = arrows[j][i] = draw(st.integers(0, 4))
-    total = draw(st.integers(1, 5))
+    total = draw(st.integers(1, max_total))
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nv - 1, max_size=nv - 1)))
     d = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
     delta = CentralWeight(tuple(
@@ -154,6 +156,18 @@ def test_per_part_rule_matches_every_ordering(case):
     for a in enumerate_vector_partitions(d):
         assert partition_indicator(q, d, a, delta) == (a in blockwise)
     assert admissible_partitions(q, d, delta) == tuple(blockwise)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(admissibility_cases(max_total=9))
+def test_admissible_set_is_the_filtered_enumeration(case):
+    # the enumerate-then-filter route, kept as the reference at ranks where
+    # walking every ordering would be too slow
+    q, d, delta = case
+    every = enumerate_vector_partitions(d)
+    assert all(a.parts > b.parts for a, b in zip(every, every[1:]))
+    assert admissible_partitions(q, d, delta) == \
+        tuple(a for a in every if partition_indicator(q, d, a, delta))
 
 
 def test_admissible_sets_three_loop():
@@ -210,6 +224,19 @@ def test_find_central_weight_exhausted():
     assert find_central_weight(loop_quiver(3), (4,), max_v=0) is None
 
 
+def test_find_central_weight_second_stage():
+    # no spread weight isolates {d}; the first sum-zero correction that does
+    # moves a third from one vertex to the other
+    q = Quiver(("0", "1"), ((0, 1), (1, 1)))
+    for v in range(4):
+        assert len(admissible_partitions(q, (2, 2), CentralWeight.spread((2, 2), v))) > 1
+    delta = find_central_weight(q, (2, 2))
+    assert delta == CentralWeight((Fraction(-2, 3), Fraction(2, 3)))
+    assert [a for a in enumerate_vector_partitions((2, 2))
+            if partition_indicator_blockwise(q, (2, 2), a, delta)] == \
+        [VectorPartition(((2, 2),))]
+
+
 def test_tripled_quiver_reuses_arrow_data():
     # admissibility sees only arrow counts, so the tripled one-loop quiver
     # behaves exactly like the plain three-loop one
@@ -225,3 +252,7 @@ def test_partition_input_errors():
         partition_indicator(asym, (1, 1), [(1, 1)], CentralWeight.zero(2))
     with pytest.raises(InputSchemaError):
         admissible_partitions(loop_quiver(3), (2, 2), CentralWeight.zero(1))
+    with pytest.raises(InputSchemaError, match="zero"):
+        admissible_partitions(CROSS, (0, 0), CentralWeight.zero(2))
+    with pytest.raises(InputSchemaError, match="zero"):
+        find_central_weight(CROSS, (0, 0))

@@ -64,6 +64,10 @@ def test_central_weight_basics():
         w.expand((1,))
     with pytest.raises(InputSchemaError):
         w + CentralWeight.zero(3)
+    # exact values only: a float would be stored as its binary expansion
+    for bad in (0.1, 0.5, True, "1/2", None):
+        with pytest.raises(InputSchemaError):
+            CentralWeight((bad,))
 
 
 def test_central_weight_spread():
