@@ -105,17 +105,16 @@ class BlockDimTable(_Record):
 
     def __init__(self, dims: tuple[tuple[DimVector, int], ...], monodromy: str = "trivial",
                  default_dim: int | None = None, invariant_dim: int | None = None):
-        dims = tuple((tuple(p), v) for p, v in dims)
-        for p, v in dims:
-            if not is_count(v):
-                raise InputSchemaError(f"block dimension {v!r} of part {p} is not "
-                                       "a nonnegative integer")
+        dims = tuple(sorted(_block_row(p, v) for p, v in dims))
+        for (p, _), (p2, _) in zip(dims, dims[1:]):
+            if p == p2:
+                raise InputSchemaError(f"part {p} appears twice in the block table")
         for name, v in (("default_dim", default_dim), ("invariant_dim", invariant_dim)):
             if v is not None and not is_count(v):
                 raise InputSchemaError(f"{name} {v!r} is not a nonnegative integer")
         if monodromy not in ("trivial", "full-input"):
             raise InputSchemaError(f"unknown monodromy flag {monodromy!r}")
-        self._init(tuple(sorted(dims)), monodromy, default_dim, invariant_dim)
+        self._init(dims, monodromy, default_dim, invariant_dim)
 
     def dim_for(self, part: DimVector) -> int:
         for p, val in self.dims:
@@ -124,6 +123,16 @@ class BlockDimTable(_Record):
         if self.default_dim is not None:
             return self.default_dim
         raise MissingBlockError(f"no block dimension for part {tuple(part)}")
+
+
+def _block_row(p, v) -> tuple[DimVector, int]:
+    """One (part, dimension) entry of a block table, checked."""
+    if not isinstance(p, (tuple, list)) or not p or not all(map(is_count, p)):
+        raise InputSchemaError(f"block part {p!r} is not a nonempty list of nonnegative integers")
+    if not is_count(v):
+        raise InputSchemaError(f"block dimension {v!r} of part {tuple(p)} is not "
+                               "a nonnegative integer")
+    return tuple(p), v
 
 
 def builtin_block_table(name: str) -> BlockDimTable:
@@ -156,12 +165,7 @@ def block_table_from_dict(obj) -> BlockDimTable:
     for k, row in enumerate(rows):
         if not isinstance(row, dict) or "e" not in row or "dim" not in row:
             raise InputSchemaError(f'blocks[{k}] must have keys "e" and "dim"')
-        part = row["e"]
-        if not isinstance(part, list) or not part or not all(is_count(c) for c in part):
-            raise InputSchemaError(f'blocks[{k}].e must be a nonempty list of nonnegative integers')
-        if not is_count(row["dim"]):
-            raise InputSchemaError(f'blocks[{k}].dim must be a nonnegative integer')
-        dims.append((tuple(part), row["dim"]))
+        dims.append((row["e"], row["dim"]))
     return BlockDimTable(
         tuple(dims),
         monodromy=obj.get("monodromy", "trivial"),
@@ -224,6 +228,10 @@ def ktheory_dim_from_bps(assembly: int, flavor: str = "mf", *,
     """
     if flavor not in ("mf", "preprojective"):
         raise InputSchemaError(f"unknown flavor {flavor!r}; choices: mf, preprojective")
+    if not is_count(assembly):
+        raise InputSchemaError(f"assembly {assembly!r} is not a nonnegative integer")
+    if invariant_dim is not None and not is_count(invariant_dim):
+        raise InputSchemaError(f"invariant_dim {invariant_dim!r} is not a nonnegative integer")
     if monodromy == "trivial":
         effective = assembly
     elif monodromy == "full-input":

@@ -16,13 +16,19 @@ the partitions of d into admissible parts, by the same walk that lists all
 partitions; no partition with an inadmissible part is ever formed.  The
 routes that walk the orderings of the parts are kept in ``oracle`` as
 references.
+
+When <delta, d> is an integer, the tests of e and d - e sum to an integer,
+so a part is admissible exactly when its complement is, and {d} is the whole
+admissible set exactly when no proper part 0 < e < d is admissible.  The
+central-weight search decides on that and lists no partition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from operator import le, sub
+from functools import partial
+from itertools import chain, product
+from operator import le, mul, sub
 
 from .errors import CutoffExceededError, InputSchemaError
 from .quiver import (
@@ -77,18 +83,24 @@ class VectorPartition(_Record):
         return "+".join("(" + ",".join(str(c) for c in p) + ")" for p in self.parts)
 
 
+def _parts(d, force: bool) -> list[DimVector]:
+    """Nonzero e <= d in decreasing order, d itself first; refused above
+    PARTITION_CUTOFF unless forced."""
+    if not all(map(is_count, d)):
+        raise InputSchemaError(f"dimension vector {d!r} is not nonnegative")
+    if total_dim(d) > PARTITION_CUTOFF and not force:
+        raise CutoffExceededError(
+            f"total rank {total_dim(d)} above partition cutoff {PARTITION_CUTOFF}; "
+            "use force to override")
+    return [e for e in product(*(range(m, -1, -1) for m in d)) if any(e)]
+
+
 def _partitions_into(d, allowed, force: bool) -> list[VectorPartition]:
     """Partitions of d into parts that pass ``allowed``, canonical order: the
     allowed parts are listed in decreasing order and picked with a
     nondecreasing index, so partitions come out in decreasing order of parts."""
     d = tuple(d)
-    if total_dim(d) > PARTITION_CUTOFF and not force:
-        raise CutoffExceededError(
-            f"total rank {total_dim(d)} above partition cutoff {PARTITION_CUTOFF}; "
-            "use force to override")
-    if not all(map(is_count, d)):
-        raise InputSchemaError(f"dimension vector {d!r} is not nonnegative")
-    parts = [e for e in product(*(range(m, -1, -1) for m in d)) if any(e) and allowed(e)]
+    parts = [e for e in _parts(d, force) if allowed(e)]
     results: list[VectorPartition] = []
     stack: list[DimVector] = []
 
@@ -154,34 +166,32 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
     Tries the evenly spread weights with parameter 0, 1, ..., max_v first,
     then the same spread weights corrected by a sum-zero central weight with
     numerators bounded by NUM_BOUND and denominators by DEN_BOUND.  Returns
-    the first hit in that deterministic order, or None.
+    the first hit in that deterministic order, or None.  ``max_v`` is None
+    (total rank minus one) or a nonnegative int.
+
+    A candidate is accepted when no proper part 0 < e < d is admissible, with
+    no partition listed.  That is exact when <delta, d> is an integer, which
+    holds for every candidate tried: a spread weight pairs with d to its
+    parameter v, and a correction pairs with d to zero.  Then E(e, d - e)/2 +
+    <delta, e> and E(d - e, e)/2 + <delta, d - e> sum to the integer
+    E(e, d - e) + <delta, d>, so e is admissible exactly when d - e is, and
+    {d} is the only admissible partition exactly when no proper part is
+    admissible.
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    n = total_dim(d)
-    if n == 0:
+    if not any(d):
         raise InputSchemaError("dimension vector is zero")
-    target = (VectorPartition((tuple(d),)),)
-    if max_v is None:
-        max_v = n - 1
-    vs = range(max_v + 1)
-
-    def works(delta):
-        return admissible_partitions(q, d, delta) == target
-
-    for v in vs:
-        delta = CentralWeight.spread(d, v)
-        if works(delta):
+    if max_v is not None and not is_count(max_v):
+        raise InputSchemaError(f"max_v {max_v!r} is not a nonnegative integer")
+    proper = _parts(d, False)[1:]
+    vs = range(total_dim(d) if max_v is None else max_v + 1)
+    spread = partial(CentralWeight.spread, d)
+    corrected = (spread(v) + CentralWeight(tuple(Fraction(num, den) for num in nums))
+                 for v in vs for den in range(1, DEN_BOUND + 1)
+                 for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
+                 if any(nums) and sum(map(mul, d, nums)) == 0)
+    for delta in chain(map(spread, vs), corrected):
+        if not any(_part_admissible(q, d, e, delta) for e in proper):
             return delta
-    for v in vs:
-        base = CentralWeight.spread(d, v)
-        for den in range(1, DEN_BOUND + 1):
-            for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d)):
-                if not any(nums):
-                    continue
-                if sum(m * num for m, num in zip(d, nums)) != 0:
-                    continue  # keep the diagonal pairing an integer
-                delta = base + CentralWeight(tuple(Fraction(num, den) for num in nums))
-                if works(delta):
-                    return delta
     return None

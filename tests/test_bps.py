@@ -110,7 +110,12 @@ def test_block_table_lookup():
                                      ((((1,), True),), None, None),
                                      ((((1,), -1),), None, None),
                                      ((), "x", None), ((), 1.5, None), ((), True, None),
-                                     ((), None, "foo"), ((), None, -2)]:
+                                     ((), None, "foo"), ((), None, -2),
+                                     ((((1.5,), 1),), None, None), ((("ab", 1),), None, None),
+                                     ((((), 1),), None, None), ((((True,), 1),), None, None),
+                                     (((1, 1),), None, None),
+                                     ((((1,), 5), ((1,), 1)), None, None),
+                                     ((((1,), 1), ([1], 5)), None, None)]:
         with pytest.raises(InputSchemaError):
             BlockDimTable(dims, "full-input", default, invariant)
 
@@ -152,7 +157,11 @@ def test_block_table_schema_errors():
                 {"blocks": [{"e": [1], "dim": -1}]},
                 {"blocks": [{"e": [1.5], "dim": 1}]},
                 {"blocks": [{"e": [True], "dim": 1}]},
-                {"blocks": [{"e": [1], "dim": True}]}):
+                {"blocks": [{"e": [1], "dim": True}]},
+                {"blocks": [{"e": "ab", "dim": 1}]},
+                {"blocks": [{"e": 1, "dim": 1}]},
+                {"blocks": [{"e": [1], "dim": 5}, {"e": [1], "dim": 1}]},
+                {"blocks": [{"e": [1], "dim": 1}, {"e": [1], "dim": 5}]}):
         with pytest.raises(InputSchemaError):
             block_table_from_dict(bad)
 
@@ -207,3 +216,11 @@ def test_ktheory_parities():
         ktheory_dim_from_bps(9, "spicy")
     with pytest.raises(InputSchemaError):
         ktheory_dim_from_bps(9, "mf", monodromy="partial")
+    for assembly, invariant in [(-4, None), (1.5, None), (True, None), ("3", None),
+                                (None, None), (3, "foo"), (3, -1), (3, 2.0), (3, False)]:
+        with pytest.raises(InputSchemaError, match="nonnegative integer"):
+            ktheory_dim_from_bps(assembly, "mf", monodromy="full-input",
+                                 invariant_dim=invariant)
+    with pytest.raises(InputSchemaError, match="nonnegative integer"):
+        ktheory_dim_from_bps(-4)
+    assert ktheory_dim_from_bps(0, "preprojective") == (0, 0)

@@ -167,6 +167,15 @@ def test_bps_dim_errors(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nonnegative integer" in err
+    # a part listed twice is refused whatever the row order, not resolved silently
+    for rows in ([{"e": [1], "dim": 5}, {"e": [1], "dim": 1}],
+                 [{"e": [1], "dim": 1}, {"e": [1], "dim": 5}]):
+        path = write_json(tmp_path, "twice.json", {"blocks": rows})
+        code, out, err = run(capsys, "bps-dim", "--loops", "1", "--dim", "3", "--v", "0",
+                             "--blocks", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "appears twice" in err
 
 
 def test_find_delta(tmp_path, capsys):
@@ -187,6 +196,16 @@ def test_find_delta(tmp_path, capsys):
                        "--output", "json")
     assert code == 0
     assert out == '{"delta":["-2/3","2/3"],"v":0}\n'
+    for bad in ("-1", "-7"):
+        code, out, err = run(capsys, "find-delta", "--loops", "3", "--dim", "4",
+                             "--max-v", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "max_v" in err
+    # the search lists no partition, but keeps the partition cutoff
+    code, out, err = run(capsys, "find-delta", "--loops", "3", "--dim", "21")
+    assert code == 4 and out == ""
+    assert err == "error: total rank 21 above partition cutoff 20; use force to override\n"
 
 
 FAKE_PASS = [CheckResult("alpha", "first anchor", "1", "1", True, 3),

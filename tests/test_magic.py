@@ -197,6 +197,18 @@ def test_count_is_shift_and_duality_invariant(case):
     assert magic_dimension(q, d, CentralWeight(tuple(-x for x in delta.values))) == base
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases(), st.data())
+def test_count_is_invariant_under_relabelling(case, data):
+    q, d, delta = case
+    perm = data.draw(st.permutations(range(q.num_vertices)))
+    relabelled = Quiver(tuple(q.vertices[i] for i in perm),
+                        tuple(tuple(q.arrows[i][j] for j in perm) for i in perm))
+    assert magic_dimension(relabelled, tuple(d[i] for i in perm),
+                           CentralWeight(tuple(delta.values[i] for i in perm))) \
+        == magic_dimension(q, d, delta)
+
+
 def _box_ranges(q, d, delta):
     """Slot ranges of the bounding box shifted by delta - rho, None if one is empty."""
     shift = [x - r for x, r in zip(delta.expand(d), weyl_vector(d))]

@@ -57,6 +57,18 @@ def test_cli_import_loads_only_the_command_path():
     assert oracle_loaded
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
 @pytest.mark.parametrize("module", sorted(EXPORTS))
 def test_package_exports_resolve_to_their_home_module(module):
     home = importlib.import_module(f"quasibps.{module}")

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasibps import partitions
 from quasibps.bps import partition_count
 from quasibps.errors import (
     AsymmetricQuiverError,
@@ -13,6 +16,7 @@ from quasibps.errors import (
 from quasibps.oracle import _orderings, partition_indicator_blockwise
 from quasibps.partitions import (
     VectorPartition,
+    _part_admissible,
     admissible_partitions,
     enumerate_vector_partitions,
     find_central_weight,
@@ -170,6 +174,34 @@ def test_admissible_set_is_the_filtered_enumeration(case):
         tuple(a for a in every if partition_indicator(q, d, a, delta))
 
 
+@st.composite
+def integral_cases(draw):
+    """An admissibility case with delta shifted at one vertex k with d_k > 0,
+    so that <delta, d> is an integer."""
+    q, d, delta = draw(admissibility_cases(max_total=8))
+    k = draw(st.sampled_from([i for i, m in enumerate(d) if m]))
+    total = delta.total_pairing(d)
+    shift = [Fraction(0)] * len(d)
+    shift[k] = Fraction(math.floor(total) - total, d[k])
+    return q, d, delta + CentralWeight(tuple(shift))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(integral_cases())
+def test_part_rule_is_symmetric_under_complement(case):
+    # E is symmetric, so the tests of e and d - e sum to E(e, d - e) + <delta, d>:
+    # with that pairing an integer, {d} is the whole set exactly when no
+    # proper part is admissible, which is the rule the search decides on
+    q, d, delta = case
+    assert delta.total_pairing(d).denominator == 1
+    proper = [e for e in product(*(range(m + 1) for m in d)) if 0 < sum(e) < sum(d)]
+    for e in proper:
+        rest = tuple(m - c for m, c in zip(d, e))
+        assert _part_admissible(q, d, e, delta) == _part_admissible(q, d, rest, delta)
+    singleton = admissible_partitions(q, d, delta) == (VectorPartition((d,)),)
+    assert singleton == (not any(_part_admissible(q, d, e, delta) for e in proper))
+
+
 def test_admissible_sets_three_loop():
     q = loop_quiver(3)
     sets = {v: [str(a) for a in
@@ -237,6 +269,20 @@ def test_find_central_weight_second_stage():
         [VectorPartition(((2, 2),))]
 
 
+def test_find_central_weight_lists_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search must not list partitions")
+
+    for name in ("_partitions_into", "admissible_partitions", "VectorPartition"):
+        monkeypatch.setattr(partitions, name, refuse)
+    q = Quiver(("0", "1"), ((0, 1), (1, 1)))
+    assert find_central_weight(q, (2, 2)) == CentralWeight((Fraction(-2, 3), Fraction(2, 3)))
+    assert find_central_weight(loop_quiver(2), (6,)) == CentralWeight.spread((6,), 2)
+    assert find_central_weight(loop_quiver(3), (4,), max_v=0) is None
+    with pytest.raises(CutoffExceededError, match="partition cutoff 20"):
+        find_central_weight(loop_quiver(3), (21,))
+
+
 def test_tripled_quiver_reuses_arrow_data():
     # admissibility sees only arrow counts, so the tripled one-loop quiver
     # behaves exactly like the plain three-loop one
@@ -256,3 +302,6 @@ def test_partition_input_errors():
         admissible_partitions(CROSS, (0, 0), CentralWeight.zero(2))
     with pytest.raises(InputSchemaError, match="zero"):
         find_central_weight(CROSS, (0, 0))
+    for bad in (2.5, "3", True, False, -1, Fraction(1)):
+        with pytest.raises(InputSchemaError, match="max_v"):
+            find_central_weight(loop_quiver(3), (4,), max_v=bad)
