@@ -8,13 +8,14 @@ integer tuples (c_1, ..., c_d) with
 * sum of the last k entries at most v*k/d for k = 1..d,
 * total sum exactly v.
 
-Those constraints confine every entry to an explicit box.  The scan runs
-over the reversed sequence, where the rest of the count depends only on the
-position, the previous entry and the partial sum, so it is memoized on that
-triple.  A branch is cut when even its largest completion, whose entries
-climb by 2g up to the top of the box, sums below v; that sum has a closed
-form.  The assembly side combines a table of per-part block dimensions over
-the admissible partitions of a central weight, multiplying symmetric-power
+Those constraints confine every entry to an explicit box.  The count runs
+over the reversed sequence, one layer per entry, mapping each partial sum
+to the ways of ending in each previous entry.  An entry b may follow any
+previous entry of at least b - 2g, so b is walked downward with a running
+sum of those ways, and stopped once even its largest completion, entries
+climbing by 2g up to the top of the box, a closed-form sum, falls below v.
+The assembly side combines a table of per-part block dimensions over the
+admissible partitions of a central weight, multiplying symmetric-power
 dimensions over repeated parts.
 """
 
@@ -40,35 +41,31 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
         raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
     lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
     hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
-    memo: dict[tuple[int, int, int], int] = {}
+    step = 2 * g
 
-    # scan in reverse (last entry first) so the suffix-sum constraints become
+    # count in reverse (last entry first) so the suffix-sum constraints become
     # prefix constraints: with b_j = c_{d+1-j}, need b_{j+1} <= b_j + 2g and
-    # d * (b_1 + ... + b_k) <= v * k.
-    def walk(j, prev, acc):
-        """Completions once j entries are fixed, the last being prev, summing to acc."""
-        if j == d:
-            return 1 if acc == v else 0
-        key = (j, prev, acc)
-        if key in memo:
-            return memo[key]
-        top = hi if j == 0 else min(hi, prev + 2 * g)
+    # d * (b_1 + ... + b_k) <= v * k.  layer[acc][prev]: ways for the entries
+    # so far to sum to acc and end in prev; the start state lets b_1 reach hi.
+    layer = {0: {hi - step: 1}}
+    for j in range(d):
         rest = d - j - 1
-        count = 0
-        for b in range(lo, top + 1):
-            acc2 = acc + b
-            if d * acc2 > v * (j + 1):
-                break
-            # the largest completion climbs by 2g from b for s entries, then stays at hi
-            s = rest if g == 0 else min(rest, (hi - b) // (2 * g))
-            ceiling = acc2 + s * b + g * s * (s + 1) + (rest - s) * hi
-            if ceiling < v:
-                continue
-            count += walk(j + 1, b, acc2)
-        memo[key] = count
-        return count
-
-    return walk(0, 0, 0)
+        cap = v * (j + 1) // d
+        nxt: dict[int, dict[int, int]] = {}
+        for acc, ways in layer.items():
+            prevs = sorted(ways, reverse=True)
+            k = run = 0  # run: ways over the prevs with prev + 2g >= b
+            for b in range(min(hi, prevs[0] + step, cap - acc), lo - 1, -1):
+                # the largest completion climbs by 2g from b for s entries, then stays at hi
+                s = rest if g == 0 else min(rest, (hi - b) // step)
+                if acc + b + s * b + g * s * (s + 1) + (rest - s) * hi < v:
+                    break
+                while k < len(prevs) and prevs[k] + step >= b:
+                    run += ways[prevs[k]]
+                    k += 1
+                nxt.setdefault(acc + b, {})[b] = run
+        layer = nxt
+    return sum(layer.get(v, {}).values())
 
 
 def partition_count(n: int) -> int:

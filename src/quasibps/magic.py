@@ -19,8 +19,9 @@ so only the top k_i slots of each block bind: chi is counted exactly when
 with T_i(k) the sum of the top k entries of chi in block i and
 H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i.
 
-The count walks the nonzero blocks in order.  After some blocks are fixed,
-the rest depends only on the running total and on the residual caps
+The count walks the nonzero blocks in ascending order of d_i, ties in
+vertex order, so the largest comes last.  After some blocks are fixed, the
+rest depends only on the running total and on the residual caps
 c(k_rest) = min over the fixed profiles of F - sum T, so the walk is
 memoized on (block, c, total).  Each intermediate block enumerates its
 nondecreasing sequences, pruned with lower bounds on the later blocks' top
@@ -127,9 +128,10 @@ def _window_count(q, d, delta) -> int:
         return 0
     lo, hi = bounds
 
-    # per nonzero block, the ranges a nondecreasing sequence can really take
+    # per nonzero block, the ranges a nondecreasing sequence can really take;
+    # blocks in ascending order of d_i, so the largest gets the last-block DP
     verts, ranges = [], []
-    for i, (b0, b1) in enumerate(slot_blocks(d)):
+    for i, (b0, b1) in sorted(enumerate(slot_blocks(d)), key=lambda blk: d[blk[0]]):
         if b1 == b0:
             continue
         blo = list(accumulate(lo[b0:b1], max))

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
+from math import gcd
 from operator import le, mul, sub
 
 from .errors import CutoffExceededError, InputSchemaError
@@ -63,6 +64,13 @@ class VectorPartition(_Record):
             if not all(map(is_count, p)):
                 raise InputSchemaError(f"partition part {p!r} is not a nonnegative vector")
         self._init(parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple[DimVector, ...]) -> VectorPartition:
+        """A partition from nonzero count vectors already in canonical order."""
+        out = cls.__new__(cls)
+        out._init(parts)
+        return out
 
     @property
     def length(self) -> int:
@@ -106,7 +114,7 @@ def _partitions_into(d, allowed, force: bool) -> list[VectorPartition]:
 
     def rec(rem, start):
         if not any(rem):
-            results.append(VectorPartition(tuple(stack)))
+            results.append(VectorPartition._trusted(tuple(stack)))
             return
         for k in range(start, len(parts)):
             e = parts[k]
@@ -166,8 +174,9 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
     Tries the evenly spread weights with parameter 0, 1, ..., max_v first,
     then the same spread weights corrected by a sum-zero central weight with
     numerators bounded by NUM_BOUND and denominators by DEN_BOUND.  Returns
-    the first hit in that deterministic order, or None.  ``max_v`` is None
-    (total rank minus one) or a nonnegative int.
+    the first hit in that deterministic order, or None, skipping each nums/den
+    with gcd(den, *nums) > 1: it equals a correction already tried and
+    rejected.  ``max_v`` is None (total rank minus one) or a nonnegative int.
 
     A candidate is accepted when no proper part 0 < e < d is admissible, with
     no partition listed.  That is exact when <delta, d> is an integer, which
@@ -190,7 +199,7 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
     corrected = (spread(v) + CentralWeight(tuple(Fraction(num, den) for num in nums))
                  for v in vs for den in range(1, DEN_BOUND + 1)
                  for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
-                 if any(nums) and sum(map(mul, d, nums)) == 0)
+                 if any(nums) and sum(map(mul, d, nums)) == 0 and gcd(den, *nums) == 1)
     for delta in chain(map(spread, vs), corrected):
         if not any(_part_admissible(q, d, e, delta) for e in proper):
             return delta

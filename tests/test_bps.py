@@ -1,6 +1,11 @@
 import json
+import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibps.bps import (
     BlockDimTable,
@@ -49,6 +54,43 @@ def test_score_sequence_matches_window_count():
         for d in range(1, 5):
             for v in range(0, d + 2):
                 assert score_sequence_count(g, d, v) == magic_dimension_v(q, (d,), v)
+
+
+def _score_sequences_in_box(g, d, v):
+    """Tuples of the box [lo, hi]^d summing to v that satisfy the defining
+    inequalities as written; the last entry is fixed by the sum."""
+    lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
+    hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
+    count = 0
+    for head in product(range(lo, hi + 1), repeat=d - 1):
+        last = v - sum(head)
+        if not lo <= last <= hi:
+            continue
+        c = (*head, last)
+        if (all(c[i] - c[i - 1] + 2 * g >= 0 for i in range(1, d))
+                and all(d * sum(c[d - k:]) <= v * k for k in range(1, d + 1))):
+            count += 1
+    return count
+
+
+@st.composite
+def score_cases(draw):
+    g = draw(st.integers(0, 2))
+    d = draw(st.integers(1, 5))
+    return g, d, draw(st.integers(-2, 2 * d + 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(score_cases())
+def test_score_sequence_count_matches_box_scan(case):
+    assert score_sequence_count(*case) == _score_sequences_in_box(*case)
+
+
+def test_score_sequence_pinned_large_ranks():
+    # rank 16 agrees with the window count; rank 24 was computed by the
+    # former memoized recursive walk
+    assert score_sequence_count(1, 16, 1) == 2_936_000_232
+    assert score_sequence_count(1, 24, 1) == 4_600_845_868_539_708
 
 
 def test_score_sequence_input_errors():

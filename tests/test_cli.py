@@ -128,6 +128,16 @@ def test_ih_dim(capsys):
     assert run(capsys, "ih-dim", "--loops", "3", "--dim", "2")[0] == 2
 
 
+def test_ih_dim_high_rank_returns(capsys):
+    # the count keeps no call stack per entry, so a rank above the
+    # interpreter's recursion limit still returns
+    for v, want in ((0, "1"), (1, "0")):
+        code, out, err = run(capsys, "ih-dim", "--loops", "1", "--dim", "1200", "--v", str(v))
+        assert code == 0
+        assert out.split() == ["ih_dim", want]
+        assert "Traceback" not in err
+
+
 def test_bps_dim_builtin(capsys):
     code, out, _ = run(capsys, "bps-dim", "--loops", "3", "--dim", "4", "--v", "0",
                        "--builtin", "tripled-one-loop", "--flavor", "mf",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasibps import magic
 from quasibps.errors import (
     AsymmetricQuiverError,
     CutoffExceededError,
@@ -147,6 +148,21 @@ def test_count_cutoff_and_force():
 
 def test_force_above_indicator_cutoff_skips_the_filter():
     assert magic_dimension_v(loop_quiver(0), (17,), 0, force=True) == 0
+
+
+def test_largest_block_is_counted_last(monkeypatch):
+    # only the last block gets the layered DP; with the rank-11 block first
+    # this count runs for minutes instead of a fraction of a second
+    d = (11, 1)
+    count_block = magic._count_block
+
+    def last_is_largest(blo, bhi, caps, target):
+        assert len(blo) == max(d)
+        return count_block(blo, bhi, caps, target)
+
+    monkeypatch.setattr(magic, "_count_block", last_is_largest)
+    q = Quiver(("0", "1"), ((3, 2), (2, 1)))
+    assert magic_dimension_v(q, d, 1) == 23_841_480
 
 
 def test_jobs_start_no_process(monkeypatch):

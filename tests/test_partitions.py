@@ -53,6 +53,16 @@ def test_vector_partition_canonical():
         VectorPartition(((True,),))
 
 
+def test_listed_partitions_pass_the_public_constructor():
+    # the enumerator builds its records unchecked; each must be what the
+    # checking constructor makes of its parts
+    for top in ((3, 3), (2, 2, 2)):
+        for d in product(*(range(m + 1) for m in top)):
+            if any(d):
+                for p in enumerate_vector_partitions(d):
+                    assert p == VectorPartition(p.parts)
+
+
 def test_enumerate_single_vertex_matches_partition_function():
     for n in range(1, 7):
         parts = enumerate_vector_partitions((n,))
@@ -305,3 +315,33 @@ def test_partition_input_errors():
     for bad in (2.5, "3", True, False, -1, Fraction(1)):
         with pytest.raises(InputSchemaError, match="max_v"):
             find_central_weight(loop_quiver(3), (4,), max_v=bad)
+
+
+def _first_isolating_weight(q, d):
+    """The search's candidate stream with every correction, repeats included,
+    and {d} checked against the whole admissible set."""
+    spread = [CentralWeight.spread(d, v) for v in range(total_dim(d))]
+    corrected = (s + CentralWeight(tuple(Fraction(num, den) for num in nums))
+                 for s in spread for den in range(1, partitions.DEN_BOUND + 1)
+                 for nums in product(range(-partitions.NUM_BOUND, partitions.NUM_BOUND + 1),
+                                     repeat=len(d))
+                 if any(nums) and sum(m * x for m, x in zip(d, nums)) == 0)
+    for delta in (*spread, *corrected):
+        if admissible_partitions(q, d, delta) == (VectorPartition((d,)),):
+            return delta
+    return None
+
+
+def test_find_central_weight_skips_only_repeated_corrections():
+    # the bench's partitions families, d=(4,4), and a quiver whose hit is a
+    # denominator-3 correction, reached past the repeats at denominator 2
+    cases = [(loop_quiver(2), (n,)) for n in range(1, 9)]
+    cases += [(loop_quiver(3), (n,)) for n in range(1, 9)]
+    cases += [(q, (a, b)) for q in (CROSS, TORIC1)
+              for a in range(1, 5) for b in range(1, 5) if a + b < 8 or a == b == 4]
+    second = Quiver(("0", "1"), ((0, 1), (1, 1)))
+    cases += [(second, (2, 2)), (second, (2, 4))]
+    for q, d in cases:
+        assert find_central_weight(q, d) == _first_isolating_weight(q, d), (q, d)
+    assert find_central_weight(second, (2, 4)) == \
+        CentralWeight((Fraction(-2, 3), Fraction(5, 6)))
