@@ -20,16 +20,16 @@ with T_i(k) the sum of the top k entries of chi in block i and
 H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i.
 
 The count walks the nonzero blocks in ascending order of d_i, ties in
-vertex order, so the largest comes last.  After some blocks are fixed, the
+vertex order, so the largest comes last.  Once some blocks are fixed, the
 rest depends only on the running total and on the residual caps
-c(k_rest) = min over the fixed profiles of F - sum T, so the walk is
-memoized on (block, c, total).  Each intermediate block enumerates its
-nondecreasing sequences, pruned with lower bounds on the later blocks' top
-sums; the last block is counted by a dynamic programme over (position,
-previous value, prefix sum) under the caps.  Slot ranges come from the
-single-slot profiles, and every bound is an integer scaled by 2 lcm of the
-denominators of delta: no zonotope is built, no membership test runs and no
-process starts.  ``fast="checked"`` also runs the flow-membership reference
+c(r) = min over the fixed profiles of F - sum T, one per profile r of the
+later blocks: one layered pass over the blocks carries {(c, total): ways}.
+Inside a block a layered walk over the slots, top first, carries (c,
+previous value, prefix sum); the last block's residual is empty, since
+nothing follows it.  Slot ranges come from the single-slot profiles, and
+every bound is an integer scaled by 2 lcm of the denominators of delta: no
+zonotope is built, no membership test runs and no process starts.
+``fast="checked"`` also runs the flow-membership reference
 ``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
 two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 """
@@ -129,7 +129,8 @@ def _window_count(q, d, delta) -> int:
     lo, hi = bounds
 
     # per nonzero block, the ranges a nondecreasing sequence can really take;
-    # blocks in ascending order of d_i, so the largest gets the last-block DP
+    # blocks in ascending order of d_i, so the largest, whose walk has the
+    # most states, carries no residual
     verts, ranges = [], []
     for i, (b0, b1) in sorted(enumerate(slot_blocks(d)), key=lambda blk: d[blk[0]]):
         if b1 == b0:
@@ -152,33 +153,26 @@ def _window_count(q, d, delta) -> int:
         rest_lo[i] = [t + r for t in top_lo for r in rest_lo[i + 1]]
         rest_hi[i] = sum(bhi) + rest_hi[i + 1]
 
-    memo: dict = {}
-
-    def solve(i, c, acc):
-        """Completions of blocks i.. under the residual caps c, sum so far acc."""
-        key = (i, c, acc)
-        if key in memo:
-            return memo[key]
-        blo, bhi = ranges[i]
-        need = v - acc
-        if i == nb - 1:
-            count = _count_block(blo, bhi, c, need)
-        else:
-            # c is flat over (k_i, r) with r the profile of the later blocks
-            later = rest_lo[i + 1]
-            width = len(later)
-            caps = [min(c[k * width + r] - later[r] for r in range(width))
-                    for k in range(len(blo) + 1)]
-            count = 0
-            for tops in _block_sequences(blo, bhi, caps,
-                                         need - rest_hi[i + 1], need - later[-1]):
-                c2 = tuple(min(c[k * width + r] - t for k, t in enumerate(tops))
-                           for r in range(width))
-                count += solve(i + 1, c2, acc + tops[-1])
-        memo[key] = count
-        return count
-
-    return solve(0, tuple(_cut_table(q, d, scale, sdelta, verts)), 0)
+    # one layer per block: {(residual caps over the later profiles, total): ways}
+    layer = {(tuple(_cut_table(q, d, scale, sdelta, verts)), 0): 1}
+    for i, (blo, bhi) in enumerate(ranges):
+        later = rest_lo[i + 1]
+        width = len(later)  # the caps c are flat over (k_i, r), r a later profile
+        m = len(blo)
+        nxt: dict = {}
+        for (c, acc), ways in layer.items():
+            need = v - acc
+            if i == nb - 1:  # nothing follows the last block: c is its caps, no residual
+                caps, rows = c, [()] * (m + 1)
+            else:
+                rows = [c[k * width:(k + 1) * width] for k in range(m + 1)]
+                caps = [min(a - b for a, b in zip(row, later)) for row in rows]
+            states = _block_states(blo, bhi, caps, rows, need - rest_hi[i + 1], need - later[-1])
+            for res, group in states.items():
+                for (_, t), n in group.items():
+                    nxt[res, acc + t] = nxt.get((res, acc + t), 0) + ways * n
+        layer = nxt
+    return layer.get(((), v), 0)
 
 
 def _slot_choices(blo, bhi, need_lo, need_hi):
@@ -198,43 +192,29 @@ def _slot_choices(blo, bhi, need_lo, need_hi):
     return choices
 
 
-def _block_sequences(blo, bhi, caps, need_lo, need_hi):
-    """Top sums (T(0), ..., T(m)) of every nondecreasing sequence in the ranges
-    with T(k) <= caps[k] and need_lo <= T(m) <= need_hi."""
+def _block_states(blo, bhi, caps, rows, need_lo, need_hi) -> dict:
+    """{residual: {(last value, T(m)): ways}} over the nondecreasing sequences
+    in the ranges with T(k) <= caps[k] and need_lo <= T(m) <= need_hi, where
+    residual = min over k of rows[k] - T(k) entrywise.  Top slot first; states
+    are grouped by residual, which the inner loop never touches."""
     m = len(blo)
     if caps[0] < 0:
-        return
+        return {}
     choices = _slot_choices(blo, bhi, need_lo, need_hi)
-    tops = [0] * (m + 1)
-
-    def walk(k, prev):
-        p = m - 1 - k  # slot filled at this step, top first
-        s = tops[k]
-        for x in choices(p, s, prev, caps[k + 1]):
-            tops[k + 1] = s + x
-            if p == 0:
-                yield tuple(tops)
-            else:
-                yield from walk(k + 1, x)
-
-    yield from walk(0, bhi[-1])
-
-
-def _count_block(blo, bhi, caps, target) -> int:
-    """Nondecreasing sequences in the ranges with T(k) <= caps[k] and T(m) = target.
-
-    Filled top slot first; a state is (previous value, prefix sum).
-    """
-    m = len(blo)
-    if caps[0] < 0:
-        return 0
-    choices = _slot_choices(blo, bhi, target, target)
-    layer = {(bhi[-1], 0): 1}
+    layer = {rows[0]: {(bhi[-1], 0): 1}}
     for k in range(m):
-        p = m - 1 - k
+        p, row = m - 1 - k, rows[k + 1]
         nxt: dict = {}
-        for (prev, s), ways in layer.items():
-            for x in choices(p, s, prev, caps[k + 1]):
-                nxt[x, s + x] = nxt.get((x, s + x), 0) + ways
+        for res, group in layer.items():
+            step: dict = {}
+            for (prev, s), ways in group.items():
+                for x in choices(p, s, prev, caps[k + 1]):
+                    step[x, s + x] = step.get((x, s + x), 0) + ways
+            if not row:
+                nxt[res] = step
+                continue
+            for (x, t), ways in step.items():
+                into = nxt.setdefault(tuple([min(a, b - t) for a, b in zip(res, row)]), {})
+                into[x, t] = into.get((x, t), 0) + ways
         layer = nxt
-    return sum(layer.values())
+    return layer

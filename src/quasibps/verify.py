@@ -272,10 +272,13 @@ def check_membership_routes():
     """Counting and membership routes agree; symmetry and invariances hold."""
     fails = []
     samples = 0
-    # (a) block-profile count against the flow-membership DFS, small families
+    # (a) block-profile count against the flow-membership DFS, small
+    # families; the all-ones quivers walk three and four blocks
     instances = [(toric_quiver(1), (1, 1)), (toric_quiver(4), (1, 1)),
                  (loop_quiver(3), (4,)), (loop_quiver(5), (3,)),
-                 (loop_quiver(1), (6,)), (loop_quiver(3), (6,))]
+                 (loop_quiver(1), (6,)), (loop_quiver(3), (6,)),
+                 (Quiver(tuple("012"), ((1,) * 3,) * 3), (1, 2, 2)),
+                 (Quiver(tuple("0123"), ((1,) * 4,) * 4), (1, 1, 1, 2))]
     for q, d in instances:
         for v in (0, 1, total_dim(d)):
             try:

@@ -28,6 +28,7 @@ from quasibps.zonotope import bounding_box, contains, weight_zonotope
 
 TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(3)}
 CROSS = Quiver(("a", "b"), ((1, 2), (2, 1)))
+ALL_ONES_4 = Quiver(("0", "1", "2", "3"), ((1,) * 4,) * 4)
 
 
 def test_toric_counts():
@@ -80,7 +81,8 @@ def test_shift_and_duality_invariance():
 
 
 def test_fast_modes_agree():
-    for q, d in [(loop_quiver(3), (3,)), (TORIC[1], (1, 1)), (CROSS, (2, 1))]:
+    for q, d in [(loop_quiver(3), (3,)), (TORIC[1], (1, 1)), (CROSS, (2, 1)),
+                 (ALL_ONES_4, (1, 1, 2, 2))]:
         for v in range(0, 3):
             on = magic_dimension_v(q, d, v, fast="on")
             off = magic_dimension_v(q, d, v, fast="off")
@@ -146,23 +148,25 @@ def test_count_cutoff_and_force():
     assert magic_dimension_v(loop_quiver(0), (1,), 5) == 1
 
 
-def test_force_above_indicator_cutoff_skips_the_filter():
+def test_forced_rank_17_count_without_generators_is_zero():
     assert magic_dimension_v(loop_quiver(0), (17,), 0, force=True) == 0
 
 
 def test_largest_block_is_counted_last(monkeypatch):
-    # only the last block gets the layered DP; with the rank-11 block first
-    # this count runs for minutes instead of a fraction of a second
+    # blocks are walked in ascending order of rank, so the largest carries no
+    # residual; largest first, all-twos d=(1,4,6) takes about 5x as long
     d = (11, 1)
-    count_block = magic._count_block
+    block_states = magic._block_states
+    ranks = []
 
-    def last_is_largest(blo, bhi, caps, target):
-        assert len(blo) == max(d)
-        return count_block(blo, bhi, caps, target)
+    def record_rank(blo, *args):
+        ranks.append(len(blo))
+        return block_states(blo, *args)
 
-    monkeypatch.setattr(magic, "_count_block", last_is_largest)
+    monkeypatch.setattr(magic, "_block_states", record_rank)
     q = Quiver(("0", "1"), ((3, 2), (2, 1)))
     assert magic_dimension_v(q, d, 1) == 23_841_480
+    assert ranks[-1] == max(d)
 
 
 def test_jobs_start_no_process(monkeypatch):
