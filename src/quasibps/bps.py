@@ -21,13 +21,12 @@ dimensions over repeated parts.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
 from .errors import InputSchemaError, MissingBlockError
 from .partitions import admissible_partitions
-from .quiver import DimVector, Quiver, _Record, check_dim_vector, is_count, is_int
+from .quiver import DimVector, Quiver, _Record, _read_json, check_dim_vector, is_count, is_int
 from .weights import CentralWeight
 
 
@@ -184,14 +183,7 @@ def block_table_to_dict(table: BlockDimTable) -> dict:
 
 
 def load_block_table(path) -> BlockDimTable:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputSchemaError(f"cannot read block table {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputSchemaError(f"block table {path} is not valid JSON: {exc}")
-    return block_table_from_dict(obj)
+    return block_table_from_dict(_read_json(path, "block table"))
 
 
 def bps_assembly_dim(q: Quiver, d, delta: CentralWeight, table: BlockDimTable, *,
@@ -204,6 +196,10 @@ def bps_assembly_dim(q: Quiver, d, delta: CentralWeight, table: BlockDimTable, *
     this total, so they are not tracked.
     """
     d = check_dim_vector(q, d)
+    for p, _ in table.dims:
+        if len(p) != len(d):
+            raise InputSchemaError(
+                f"block part {p} has {len(p)} entries, quiver has {len(d)} vertices")
     total = 0
     for a in admissible_partitions(q, d, delta, force=force):
         prod = 1

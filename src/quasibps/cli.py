@@ -13,7 +13,6 @@ cutoff with --force), 5 two counting routes disagree under
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -175,14 +174,17 @@ def cmd_verify(args) -> int:
 
     # open the report first, so a bad path fails before the checks run
     try:
-        report = contextlib.nullcontext() if args.report is None else open(args.report, "w")
+        report = None if args.report is None else open(args.report, "w")
     except OSError as exc:
         raise InputSchemaError(f"cannot write report {args.report}: {exc}")
-    with report as fh:
-        results = verify.run_checks(deep=args.deep, progress=progress if not args.quiet else None)
-        text = verify.report_json(results)
-        if fh is not None:
-            fh.write(text + "\n")
+    results = verify.run_checks(deep=args.deep, progress=progress if not args.quiet else None)
+    text = verify.report_json(results)
+    if report is not None:
+        try:
+            with report:  # a full disk may fail the write or the flush at close
+                report.write(text + "\n")
+        except OSError as exc:
+            raise InputSchemaError(f"cannot write report {args.report}: {exc}")
     if args.output == "json":
         print(text)
     else:

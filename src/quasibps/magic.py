@@ -17,7 +17,9 @@ so only the top k_i slots of each block bind: chi is counted exactly when
     sum_i T_i(d_i) = v,
 
 with T_i(k) the sum of the top k entries of chi in block i and
-H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i.
+H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i, which is
+E(k, d - k)/2 + <delta, k>: the same H whose integrality decides part
+admissibility.  ``weights._scaled_half_widths`` evaluates it for both.
 
 The count walks the nonzero blocks in ascending order of d_i, ties in
 vertex order, so the largest comes last.  Once some blocks are fixed, the
@@ -36,12 +38,11 @@ two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
 from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, slot_blocks, total_dim
-from .weights import CentralWeight
+from .weights import CentralWeight, _scaled_delta, _scaled_half_widths
 
 COUNT_CUTOFF = 12  # refuse larger total ranks unless force=True
 
@@ -84,12 +85,6 @@ def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
     return magic_dimension(q, d, CentralWeight.spread(d, v), **kwargs)
 
 
-def _scaled_delta(delta):
-    """D = 2 lcm(denominators of delta) and the integers D delta_i."""
-    scale = 2 * math.lcm(*(x.denominator for x in delta.values))
-    return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
-
-
 def _slot_bounds(q, d, scale, sdelta):
     """Integer per-slot ranges for candidate weights, or None when empty: the
     single-slot cut gives |x_p| <= w_i = (sum_j m_ij d_j - m_ii)/2 in block i."""
@@ -103,18 +98,6 @@ def _slot_bounds(q, d, scale, sdelta):
             if lo[-1] > hi[-1]:
                 return None
     return lo, hi
-
-
-def _cut_table(q, d, scale, sdelta, verts) -> list[int]:
-    """F(k) = floor(H(k)) over the profiles of the blocks ``verts``, first most significant."""
-    out = []
-    for k in product(*(range(d[i] + 1) for i in verts)):
-        h = 0  # D H(k)
-        for a, i in enumerate(verts):
-            cut = sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) - d[i] + k[a]
-            h += k[a] * (scale // 2 * cut + sdelta[i])
-        out.append(h // scale)
-    return out
 
 
 def _window_count(q, d, delta) -> int:
@@ -154,7 +137,7 @@ def _window_count(q, d, delta) -> int:
         rest_hi[i] = sum(bhi) + rest_hi[i + 1]
 
     # one layer per block: {(residual caps over the later profiles, total): ways}
-    layer = {(tuple(_cut_table(q, d, scale, sdelta, verts)), 0): 1}
+    layer = {(tuple([h // scale for h in _scaled_half_widths(q, d, scale, sdelta, verts)]), 0): 1}
     for i, (blo, bhi) in enumerate(ranges):
         later = rest_lo[i + 1]
         width = len(later)  # the caps c are flat over (k_i, r), r a later profile

@@ -11,16 +11,20 @@ is symmetric for a symmetric quiver.  Modulo integers the coefficient of v_j
 in half the width plus the central pairing is E(a_j, d - a_j)/2 +
 <delta, a_j>, which does not depend on where the other parts sit.  So a
 partition is admissible exactly when each of its parts e passes that test
-on its own: the *per-part rule*.  The admissible set is therefore built as
-the partitions of d into admissible parts, by the same walk that lists all
-partitions; no partition with an inadmissible part is ever formed.  The
-routes that walk the orderings of the parts are kept in ``oracle`` as
-references.
+on its own: the *per-part rule*.  That test is H(e) in the integers, with
+H the function whose floor gives the window's cuts in ``magic``; both read
+it from ``weights._scaled_half_widths``, here as one table D H(e) over all
+e <= d, e admissible exactly when D divides D H(e).  The admissible set is
+therefore built as the partitions of d into admissible parts, by the same
+walk that lists all partitions; no partition with an inadmissible part is
+ever formed.  The routes that walk the orderings of the parts are kept in
+``oracle`` as references.
 
-When <delta, d> is an integer, the tests of e and d - e sum to an integer,
-so a part is admissible exactly when its complement is, and {d} is the whole
-admissible set exactly when no proper part 0 < e < d is admissible.  The
-central-weight search decides on that and lists no partition.
+When <delta, d> is an integer, so is H(d), and E is symmetric, so H(e) and
+H(d - e) sum to the integer E(e, d - e) + <delta, d>: a part is admissible
+exactly when its complement is, and {d} is the whole admissible set exactly
+when d is the only admissible part.  The central-weight search decides on
+that and lists no partition.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .quiver import (
     require_symmetric,
     total_dim,
 )
-from .weights import CentralWeight
+from .weights import CentralWeight, _scaled_delta, _scaled_half_widths
 
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
 NUM_BOUND, DEN_BOUND = 2, 3  # |numerators| and denominators of the search's corrections
@@ -103,12 +107,10 @@ def _parts(d, force: bool) -> list[DimVector]:
     return [e for e in product(*(range(m, -1, -1) for m in d)) if any(e)]
 
 
-def _partitions_into(d, allowed, force: bool) -> list[VectorPartition]:
-    """Partitions of d into parts that pass ``allowed``, canonical order: the
-    allowed parts are listed in decreasing order and picked with a
-    nondecreasing index, so partitions come out in decreasing order of parts."""
-    d = tuple(d)
-    parts = [e for e in _parts(d, force) if allowed(e)]
+def _partitions_into(d, parts) -> list[VectorPartition]:
+    """Partitions of d into the given parts, canonical order: the parts come
+    in decreasing order and are picked with a nondecreasing index, so
+    partitions come out in decreasing order of parts."""
     results: list[VectorPartition] = []
     stack: list[DimVector] = []
 
@@ -129,25 +131,28 @@ def _partitions_into(d, allowed, force: bool) -> list[VectorPartition]:
 
 def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartition]:
     """All partitions of d into nonzero dimension vectors, canonical order."""
-    return _partitions_into(d, lambda e: True, force)
+    return _partitions_into(d, _parts(d, force))
 
 
 def _partition_checked(q, d, partition) -> VectorPartition:
     if not isinstance(partition, VectorPartition):
         partition = VectorPartition(tuple(partition))
+    if any(len(p) != len(d) for p in partition.parts):
+        raise InputSchemaError(f"partition parts {partition.parts} need {len(d)} entries each")
     if partition.vector_sum() != tuple(d):
         raise InputSchemaError(
             f"partition sums to {partition.vector_sum()}, expected {tuple(d)}")
     return partition
 
 
-def _part_admissible(q: Quiver, d, e, delta: CentralWeight) -> bool:
-    """E(e, d - e)/2 + <delta, e> is an integer, with E(a, b) = a^T Q b - a.b."""
-    rest = tuple(m - c for m, c in zip(d, e))
-    n = len(d)
-    euler = (sum(e[i] * q.arrows[i][j] * rest[j] for i in range(n) for j in range(n))
-             - sum(a * b for a, b in zip(e, rest)))
-    return (Fraction(euler, 2) + delta.total_pairing(e)).denominator == 1
+def _admissible_parts(q: Quiver, d, delta: CentralWeight, parts) -> list[DimVector]:
+    """The e of ``parts`` = ``_parts(d, ...)`` with H(e) = E(e, d - e)/2 +
+    <delta, e> an integer.  D H over all profiles runs in ascending order, so
+    reversed it pairs with the parts, the zero profile left over at its end."""
+    delta.expand(d)  # refuses a central weight with another vertex count
+    scale, sdelta = _scaled_delta(delta)
+    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)))
+    return [e for e, h in zip(parts, reversed(table)) if h % scale == 0]
 
 
 def partition_indicator(q: Quiver, d, partition, delta: CentralWeight) -> int:
@@ -155,7 +160,8 @@ def partition_indicator(q: Quiver, d, partition, delta: CentralWeight) -> int:
     require_symmetric(q)
     d = check_dim_vector(q, d)
     partition = _partition_checked(q, d, partition)
-    return int(all(_part_admissible(q, d, e, delta) for e in partition.multiplicities()))
+    admissible = set(_admissible_parts(q, d, delta, _parts(d, True)))
+    return int(all(e in admissible for e in partition.multiplicities()))
 
 
 def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,
@@ -165,7 +171,7 @@ def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,
     d = check_dim_vector(q, d)
     if not any(d):
         raise InputSchemaError("dimension vector is zero")
-    return tuple(_partitions_into(d, lambda e: _part_admissible(q, d, e, delta), force))
+    return tuple(_partitions_into(d, _admissible_parts(q, d, delta, _parts(d, force))))
 
 
 def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWeight | None:
@@ -178,14 +184,10 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
     with gcd(den, *nums) > 1: it equals a correction already tried and
     rejected.  ``max_v`` is None (total rank minus one) or a nonnegative int.
 
-    A candidate is accepted when no proper part 0 < e < d is admissible, with
-    no partition listed.  That is exact when <delta, d> is an integer, which
-    holds for every candidate tried: a spread weight pairs with d to its
-    parameter v, and a correction pairs with d to zero.  Then E(e, d - e)/2 +
-    <delta, e> and E(d - e, e)/2 + <delta, d - e> sum to the integer
-    E(e, d - e) + <delta, d>, so e is admissible exactly when d - e is, and
-    {d} is the only admissible partition exactly when no proper part is
-    admissible.
+    A candidate is accepted when d is its only admissible part, with no
+    partition listed.  That is exact when <delta, d> is an integer (see the
+    module docstring), which holds for every candidate tried: a spread weight
+    pairs with d to its parameter v, and a correction pairs with d to zero.
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
@@ -193,7 +195,7 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
         raise InputSchemaError("dimension vector is zero")
     if max_v is not None and not is_count(max_v):
         raise InputSchemaError(f"max_v {max_v!r} is not a nonnegative integer")
-    proper = _parts(d, False)[1:]
+    parts = _parts(d, False)
     vs = range(total_dim(d) if max_v is None else max_v + 1)
     spread = partial(CentralWeight.spread, d)
     corrected = (spread(v) + CentralWeight(tuple(Fraction(num, den) for num in nums))
@@ -201,6 +203,6 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
                  for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
                  if any(nums) and sum(map(mul, d, nums)) == 0 and gcd(den, *nums) == 1)
     for delta in chain(map(spread, vs), corrected):
-        if not any(_part_admissible(q, d, e, delta) for e in proper):
+        if _admissible_parts(q, d, delta, parts) == [d]:
             return delta
     return None

@@ -250,12 +250,17 @@ def quiver_to_dict(q: Quiver) -> dict:
     return obj
 
 
-def load_quiver(path) -> Quiver:
+def _read_json(path, what: str):
+    """The JSON value in a UTF-8 file; a failure to read, decode or parse it,
+    nesting too deep included, is an InputSchemaError naming ``what``."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputSchemaError(f"cannot read quiver file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputSchemaError(f"quiver file {path} is not valid JSON: {exc}")
-    return quiver_from_dict(obj)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # caught before ValueError, its base
+        raise InputSchemaError(f"cannot read {what} {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise InputSchemaError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def load_quiver(path) -> Quiver:
+    return quiver_from_dict(_read_json(path, "quiver file"))

@@ -12,7 +12,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, product
 from math import gcd
 
@@ -25,7 +24,7 @@ from .bps import (
     score_sequence_count,
 )
 from .errors import RouteDisagreementError
-from .magic import _cut_table, _scaled_delta, magic_dimension, magic_dimension_v
+from .magic import magic_dimension, magic_dimension_v
 from .oracle import (
     lattice_count_naive,
     partition_indicator_blockwise,
@@ -40,7 +39,7 @@ from .partitions import (
     partition_indicator,
 )
 from .quiver import Quiver, _Record, loop_quiver, slot_blocks, total_dim, triple
-from .weights import CentralWeight, weyl_vector, window_width
+from .weights import CentralWeight, _scaled_delta, _scaled_half_widths, weyl_vector, window_width
 from .zonotope import bounding_box, contains, support, weight_zonotope
 
 
@@ -110,9 +109,8 @@ def check_one_loop_divisibility():
     return (f"1 iff d | v ({cases} cases)", _fails_summary(fails), not fails)
 
 
-@lru_cache(maxsize=1)
 def _loop_sweep():
-    """Window counts for the odd-loop family, shared by two checks."""
+    """Window counts for the odd-loop family, recomputed by each of two checks."""
     out = {}
     for g in range(3):
         q = loop_quiver(2 * g + 1)
@@ -125,7 +123,7 @@ def _loop_sweep():
 
 def check_score_route_agreement():
     """Window counts equal score-sequence counts on the odd-loop sweep and ranks 8 to 16."""
-    counts = dict(_loop_sweep())
+    counts = _loop_sweep()
     for g, ranks in ((1, (8, 10, 12, 14, 16)), (2, (8, 10, 12))):
         for d in ranks:
             for v in (0, 1, d // 2):
@@ -320,7 +318,7 @@ def check_membership_routes():
             chi = [c for b0, b1 in blocks for c in sorted(chi[b0:b1])]
             delta = CentralWeight.spread(d, sum(chi))
             scale, sdelta = _scaled_delta(delta)
-            cuts = _cut_table(q, d, scale, sdelta, range(len(d)))
+            cuts = [h // scale for h in _scaled_half_widths(q, d, scale, sdelta, range(len(d)))]
             tops = [[0, *accumulate(reversed(chi[b0:b1]))] for b0, b1 in blocks]
             by_cuts = all(sum(t[k] for t, k in zip(tops, ks)) <= f
                           for ks, f in zip(product(*(range(m + 1) for m in d)), cuts))

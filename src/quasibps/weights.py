@@ -11,11 +11,21 @@ fixed once for the whole package:
 
 Counts computed downstream are invariant under flipping both conventions at
 once; this pair is the one used throughout.
+
+Along the cocharacter 1 on the top k_i slots of each block i, half the
+window width plus the central pairing is H(k) = E(k, d - k)/2 + <delta, k>,
+with E(a, b) = a^T Q b - a.b.  The window's cut at the profile k is
+floor(H(k)) (``magic``), and a part e is admissible exactly when H(e) is an
+integer (``partitions``).  Both read D H, scaled by D = 2 lcm of the
+denominators of delta, from ``_scaled_half_widths``: the one code that
+evaluates H.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 from .errors import InputSchemaError
 from .quiver import (
@@ -137,6 +147,25 @@ class CentralWeight(_Record):
         return CentralWeight(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
+def _scaled_delta(delta):
+    """D = 2 lcm(denominators of delta) and the integers D delta_i."""
+    scale = 2 * math.lcm(*(x.denominator for x in delta.values))
+    return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
+
+
+def _scaled_half_widths(q: Quiver, d, scale, sdelta, verts) -> list[int]:
+    """D H(k) over the profiles k of the blocks ``verts``, which hold every
+    nonzero block, in ascending order with the first block most significant."""
+    out = []
+    for k in product(*(range(d[i] + 1) for i in verts)):
+        h = 0
+        for a, i in enumerate(verts):
+            cut = sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) - d[i] + k[a]
+            h += k[a] * (scale // 2 * cut + sdelta[i])
+        out.append(h)
+    return out
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign.  Floats are rejected on purpose."""
     tok = text.strip()
@@ -180,30 +209,14 @@ def window_width(q: Quiver, d, lam):
     if len(lam) != total_dim(d):
         raise InputSchemaError(f"cocharacter length {len(lam)} does not match rank {total_dim(d)}")
     blocks = slot_blocks(d)
-    tot = 0
-    for i in range(q.num_vertices):
-        for j in range(q.num_vertices):
-            m = q.arrows[i][j]
-            if m == 0:
-                continue
-            s = 0
-            for p in range(*blocks[i]):
-                lp = lam[p]
-                for r in range(*blocks[j]):
-                    diff = lp - lam[r]
-                    if diff > 0:
-                        s += diff
-            tot += m * s
-    for b0, b1 in blocks:
-        s = 0
-        for p in range(b0, b1):
-            lp = lam[p]
-            for r in range(b0, b1):
-                diff = lp - lam[r]
-                if diff > 0:
-                    s += diff
-        tot -= s
-    return tot
+
+    def rises(i, j):  # the positive lam_p - lam_r, p in block i and r in block j
+        return sum(lam[p] - lam[r] for p in range(*blocks[i]) for r in range(*blocks[j])
+                   if lam[p] > lam[r])
+
+    n = q.num_vertices
+    return (sum(q.arrows[i][j] * rises(i, j) for i in range(n) for j in range(n) if q.arrows[i][j])
+            - sum(rises(i, i) for i in range(n)))
 
 
 def integrality_indicator(q: Quiver, d, lam, delta: CentralWeight) -> int:

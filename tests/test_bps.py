@@ -191,6 +191,12 @@ def test_load_block_table_errors(tmp_path):
     path.write_text('{"blocks": [')
     with pytest.raises(InputSchemaError, match="not valid JSON"):
         load_block_table(path)
+    path.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(InputSchemaError, match="cannot read"):
+        load_block_table(path)
+    path.write_bytes(b"[" * 200_000)
+    with pytest.raises(InputSchemaError, match="not valid JSON"):
+        load_block_table(path)
 
 
 def test_block_table_schema_errors():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -88,6 +89,16 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "symmetric" in err
     code, _, err = run(capsys, "magic-count", "--loops", "1", "--dim", "13", "--v", "0")
     assert code == 4 and "cutoff" in err
+    # a file that is not UTF-8 or nests past the parser's limit: one error line
+    for name, data in (("binary.json", b"\xff\xfe\x00bad"), ("deep.json", b"[" * 200_000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (("magic-count", "--quiver", str(path), "--dim", "1", "--v", "0"),
+                     ("bps-dim", "--loops", "3", "--dim", "1", "--v", "0",
+                      "--blocks", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_is_reused_without_carrying_options(capsys):
@@ -186,6 +197,13 @@ def test_bps_dim_errors(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "appears twice" in err
+    # a part with another vertex count is refused, not skipped as unused
+    path = write_json(tmp_path, "wrong_length.json",
+                      {"blocks": [{"e": [1, 0], "dim": 1}], "default_dim": 1})
+    code, out, err = run(capsys, "bps-dim", "--loops", "3", "--dim", "2", "--v", "0",
+                         "--blocks", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: block part (1, 0)") and err.count("\n") == 1
 
 
 def test_find_delta(tmp_path, capsys):
@@ -246,6 +264,16 @@ def test_verify_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_checks", must_not_run)
     report = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "verify", "--quiet", "--report", str(report))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_verify_report_write_failure_exits_two(monkeypatch, capsys):
+    # the path opens, but writing the report after the checks fails
+    monkeypatch.setattr(verify, "run_checks", lambda deep=False, progress=None: FAKE_PASS)
+    code, out, err = run(capsys, "verify", "--quiet", "--report", "/dev/full")
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write report") and err.count("\n") == 1

@@ -14,16 +14,19 @@ from quasibps.errors import (
     CutoffExceededError,
     InputSchemaError,
 )
-from quasibps.magic import (
-    _cut_table,
-    _scaled_delta,
-    _slot_bounds,
-    magic_dimension,
-    magic_dimension_v,
-)
+from quasibps.magic import _slot_bounds, magic_dimension, magic_dimension_v
 from quasibps.oracle import lattice_count_naive
+from quasibps.partitions import _admissible_parts, _parts
 from quasibps.quiver import Quiver, loop_quiver, slot_blocks, total_dim
-from quasibps.weights import CentralWeight, weyl_vector
+from quasibps.weights import (
+    CentralWeight,
+    _scaled_delta,
+    _scaled_half_widths,
+    integrality_indicator,
+    pairing,
+    weyl_vector,
+    window_width,
+)
 from quasibps.zonotope import bounding_box, contains, weight_zonotope
 
 TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(3)}
@@ -258,7 +261,8 @@ def test_weyl_cut_rule_matches_flow_membership(case):
     lo = [x - 1 for x in ranges[0]]
     hi = [x + 1 for x in ranges[1]]
     verts = [i for i, m in enumerate(d) if m]
-    table = _cut_table(q, d, *_scaled_delta(delta), verts)
+    scale, sdelta = _scaled_delta(delta)
+    table = [h // scale for h in _scaled_half_widths(q, d, scale, sdelta, verts)]
     cuts = list(zip(product(*(range(d[i] + 1) for i in verts)), table))
     # the dominant chi in the ranges: one nondecreasing tuple per nonzero block
     per_block = []
@@ -275,3 +279,27 @@ def test_weyl_cut_rule_matches_flow_membership(case):
         weyl = all(sum(sum(part[len(part) - k:]) for part, k in zip(parts, ks)) <= cap
                    for ks, cap in cuts)
         assert weyl == contains(z, tuple(c - s for c, s in zip(chi, shift)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(window_cases())
+def test_scaled_half_widths_match_the_width_definition(case):
+    # the one table behind the window cuts and part admissibility is half the
+    # width plus the central pairing along the cocharacter 1 on the top k_i
+    # slots of each block i
+    q, d, delta = case
+    scale, sdelta = _scaled_delta(delta)
+    profiles = list(product(*(range(m + 1) for m in d)))
+    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)))
+    assert len(table) == len(profiles)
+
+    def top_slots(k):
+        return tuple(x for m, ki in zip(d, k) for x in [0] * (m - ki) + [1] * ki)
+
+    for k, h in zip(profiles, table):
+        lam = top_slots(k)
+        assert Fraction(h, scale) == \
+            Fraction(window_width(q, d, lam), 2) + pairing(lam, delta.expand(d))
+    admissible = set(_admissible_parts(q, d, delta, _parts(d, True)))
+    for e in profiles[1:]:
+        assert (e in admissible) == (integrality_indicator(q, d, top_slots(e), delta) == 1)

@@ -16,7 +16,8 @@ from quasibps.errors import (
 from quasibps.oracle import _orderings, partition_indicator_blockwise
 from quasibps.partitions import (
     VectorPartition,
-    _part_admissible,
+    _admissible_parts,
+    _parts,
     admissible_partitions,
     enumerate_vector_partitions,
     find_central_weight,
@@ -205,11 +206,12 @@ def test_part_rule_is_symmetric_under_complement(case):
     q, d, delta = case
     assert delta.total_pairing(d).denominator == 1
     proper = [e for e in product(*(range(m + 1) for m in d)) if 0 < sum(e) < sum(d)]
+    admissible = set(_admissible_parts(q, d, delta, _parts(d, False)))
     for e in proper:
         rest = tuple(m - c for m, c in zip(d, e))
-        assert _part_admissible(q, d, e, delta) == _part_admissible(q, d, rest, delta)
+        assert (e in admissible) == (rest in admissible)
     singleton = admissible_partitions(q, d, delta) == (VectorPartition((d,)),)
-    assert singleton == (not any(_part_admissible(q, d, e, delta) for e in proper))
+    assert singleton == (not any(e in admissible for e in proper))
 
 
 def test_admissible_sets_three_loop():
@@ -240,6 +242,9 @@ def test_indicator_accepts_raw_part_lists():
     assert partition_indicator(q, (3,), [(2,), (1,)], delta) == 1
     with pytest.raises(InputSchemaError):
         partition_indicator(q, (3,), [(2,), (2,)], delta)
+    # a part with another vertex count is refused, although its entries add up
+    with pytest.raises(InputSchemaError, match="need 1 entries"):
+        partition_indicator(q, (3,), [(2, 0), (1,)], delta)
 
 
 def test_find_central_weight_odd_loops():

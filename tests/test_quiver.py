@@ -163,10 +163,13 @@ def test_json_schema_errors(tmp_path):
                 {"vertices": ["a"], "arrows": [[0]], "potential": 7}):
         with pytest.raises(InputSchemaError):
             quiver_from_dict(bad)
-    path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(InputSchemaError):
-        load_quiver(path)
+    # not JSON, not UTF-8, and nested past the parser's recursion limit
+    for name, data in (("bad.json", b"not json"), ("binary.json", b"\xff\xfe\x00bad"),
+                       ("deep.json", b"[" * 200_000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(InputSchemaError):
+            load_quiver(path)
     with pytest.raises(InputSchemaError):
         load_quiver(tmp_path / "missing.json")
 
