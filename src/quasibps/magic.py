@@ -28,9 +28,11 @@ c(r) = min over the fixed profiles of F - sum T, one per profile r of the
 later blocks: one layered pass over the blocks carries {(c, total): ways}.
 Inside a block a layered walk over the slots, top first, carries (c,
 previous value, prefix sum); the last block's residual is empty, since
-nothing follows it.  Slot ranges come from the single-slot profiles, and
-every bound is an integer scaled by 2 lcm of the denominators of delta: no
-zonotope is built, no membership test runs and no process starts.
+nothing follows it.  Every bound is read from the one table of D H, D = 2
+lcm of the denominators of delta: v = H(d) = <delta, d>, and every slot of
+block i lies in [v - F(d - e_i), F(e_i)], since the top slot alone is cut
+by F(e_i) and the other slots of the sum v by F(d - e_i).  No zonotope is
+built, no membership test runs and no process starts.
 ``fast="checked"`` also runs the flow-membership reference
 ``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
 two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
@@ -38,11 +40,11 @@ two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import product
 
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
-from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, slot_blocks, total_dim
-from .weights import CentralWeight, _scaled_delta, _scaled_half_widths
+from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, total_dim
+from .weights import CentralWeight, _scaled_half_widths
 
 COUNT_CUTOFF = 12  # refuse larger total ranks unless force=True
 
@@ -85,63 +87,39 @@ def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
     return magic_dimension(q, d, CentralWeight.spread(d, v), **kwargs)
 
 
-def _slot_bounds(q, d, scale, sdelta):
-    """Integer per-slot ranges for candidate weights, or None when empty: the
-    single-slot cut gives |x_p| <= w_i = (sum_j m_ij d_j - m_ii)/2 in block i."""
-    lo, hi = [], []
-    for i, m in enumerate(d):
-        width = scale // 2 * (sum(a * dj for a, dj in zip(q.arrows[i], d)) - q.arrows[i][i])
-        for a in range(1, m + 1):
-            mid = sdelta[i] - scale // 2 * (2 * a - m - 1)  # D (delta_i - rho_p)
-            lo.append(-((width - mid) // scale))
-            hi.append((width + mid) // scale)
-            if lo[-1] > hi[-1]:
-                return None
-    return lo, hi
-
-
 def _window_count(q, d, delta) -> int:
-    delta.expand(d)  # refuses a central weight with another vertex count
-    scale, sdelta = _scaled_delta(delta)
-    v, off = divmod(sum(m * x for m, x in zip(d, sdelta)), scale)
+    # the nonzero blocks in ascending order of d_i, ties in vertex order, so
+    # the largest, whose walk has the most states, carries no residual
+    verts = sorted((i for i, m in enumerate(d) if m), key=d.__getitem__)
+    scale, table = _scaled_half_widths(q, d, delta, verts,
+                                       product(*(range(d[i] + 1) for i in verts)))
+    v, off = divmod(table[-1], scale)  # H(d) = <delta, d>
     if off:
         return 0  # the window misses the integer slice of the sum hyperplane
-    bounds = _slot_bounds(q, d, scale, sdelta)
-    if bounds is None:
-        return 0
-    lo, hi = bounds
+    cuts = [h // scale for h in table]
 
-    # per nonzero block, the ranges a nondecreasing sequence can really take;
-    # blocks in ascending order of d_i, so the largest, whose walk has the
-    # most states, carries no residual
-    verts, ranges = [], []
-    for i, (b0, b1) in sorted(enumerate(slot_blocks(d)), key=lambda blk: d[blk[0]]):
-        if b1 == b0:
-            continue
-        blo = list(accumulate(lo[b0:b1], max))
-        bhi = list(accumulate(reversed(hi[b0:b1]), min))[::-1]
-        if any(a > b for a, b in zip(blo, bhi)):
-            return 0
-        verts.append(i)
-        ranges.append((blo, bhi))
-    nb = len(verts)
+    # per block (m, lo, hi): the top slot is at most F(e_i) and the bottom one
+    # at least v - F(d - e_i), so every slot lies in [lo, hi]
+    ranges, stride = [], len(cuts)
+    for i in verts:
+        stride //= d[i] + 1
+        ranges.append((d[i], v - cuts[-1 - stride], cuts[stride]))
+    nb = len(ranges)
 
     # rest_lo[i][r]: lower bound on the top sums of blocks i.. at their profile
-    # r, the sum of the top lower bounds; rest_hi[i]: bound on their full sum
+    # r; rest_hi[i]: bound on their full sum
     rest_lo = [[0] for _ in range(nb + 1)]
     rest_hi = [0] * (nb + 1)
     for i in range(nb - 1, -1, -1):
-        blo, bhi = ranges[i]
-        top_lo = [0, *accumulate(reversed(blo))]
-        rest_lo[i] = [t + r for t in top_lo for r in rest_lo[i + 1]]
-        rest_hi[i] = sum(bhi) + rest_hi[i + 1]
+        m, lo, hi = ranges[i]
+        rest_lo[i] = [k * lo + r for k in range(m + 1) for r in rest_lo[i + 1]]
+        rest_hi[i] = m * hi + rest_hi[i + 1]
 
     # one layer per block: {(residual caps over the later profiles, total): ways}
-    layer = {(tuple([h // scale for h in _scaled_half_widths(q, d, scale, sdelta, verts)]), 0): 1}
-    for i, (blo, bhi) in enumerate(ranges):
+    layer = {(tuple(cuts), 0): 1}
+    for i, (m, lo, hi) in enumerate(ranges):
         later = rest_lo[i + 1]
         width = len(later)  # the caps c are flat over (k_i, r), r a later profile
-        m = len(blo)
         nxt: dict = {}
         for (c, acc), ways in layer.items():
             need = v - acc
@@ -150,7 +128,7 @@ def _window_count(q, d, delta) -> int:
             else:
                 rows = [c[k * width:(k + 1) * width] for k in range(m + 1)]
                 caps = [min(a - b for a, b in zip(row, later)) for row in rows]
-            states = _block_states(blo, bhi, caps, rows, need - rest_hi[i + 1], need - later[-1])
+            states = _block_states(m, lo, hi, caps, rows, need - rest_hi[i + 1], need - later[-1])
             for res, group in states.items():
                 for (_, t), n in group.items():
                     nxt[res, acc + t] = nxt.get((res, acc + t), 0) + ways * n
@@ -158,40 +136,26 @@ def _window_count(q, d, delta) -> int:
     return layer.get(((), v), 0)
 
 
-def _slot_choices(blo, bhi, need_lo, need_hi):
-    """``choices(p, s, prev, cap)``: the values slot p can take when the slots
-    above it sum to s, the slot above holds prev, the new top sum must stay
-    at most cap and the block sum must be able to land in [need_lo, need_hi]."""
-    below_lo = [0] + list(accumulate(blo))  # least sum of the bottom p slots
-    below_hi = [0] + list(accumulate(bhi))
-
-    def choices(p, s, prev, cap):
-        top = min(bhi[p], prev, cap - s, need_hi - s - below_lo[p])
-        # the p slots below x sum to at most min(below_hi[p], p * x)
-        short = need_lo - s
-        first = max(blo[p], short - below_hi[p], -(-short // (p + 1)))
-        return range(first, top + 1)
-
-    return choices
-
-
-def _block_states(blo, bhi, caps, rows, need_lo, need_hi) -> dict:
+def _block_states(m, lo, hi, caps, rows, need_lo, need_hi) -> dict:
     """{residual: {(last value, T(m)): ways}} over the nondecreasing sequences
-    in the ranges with T(k) <= caps[k] and need_lo <= T(m) <= need_hi, where
-    residual = min over k of rows[k] - T(k) entrywise.  Top slot first; states
-    are grouped by residual, which the inner loop never touches."""
-    m = len(blo)
+    of m values in [lo, hi] with T(k) <= caps[k] and need_lo <= T(m) <= need_hi,
+    where residual = min over k of rows[k] - T(k) entrywise.  Top slot first;
+    states are grouped by residual, which the inner loop never touches."""
     if caps[0] < 0:
         return {}
-    choices = _slot_choices(blo, bhi, need_lo, need_hi)
-    layer = {rows[0]: {(bhi[-1], 0): 1}}
+    layer = {rows[0]: {(hi, 0): 1}}
     for k in range(m):
-        p, row = m - 1 - k, rows[k + 1]
+        # slot p: the p slots below it sum to at least p lo, and to at most
+        # p hi and p times its value
+        p, cap, row = m - 1 - k, caps[k + 1], rows[k + 1]
+        below_lo, below_hi = p * lo, p * hi
         nxt: dict = {}
         for res, group in layer.items():
             step: dict = {}
             for (prev, s), ways in group.items():
-                for x in choices(p, s, prev, caps[k + 1]):
+                short = need_lo - s
+                for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
+                               min(prev, cap - s, need_hi - s - below_lo) + 1):
                     step[x, s + x] = step.get((x, s + x), 0) + ways
             if not row:
                 nxt[res] = step

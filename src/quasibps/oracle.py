@@ -78,7 +78,7 @@ def partition_indicator_blockwise(q: Quiver, d, partition, delta: CentralWeight)
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    partition = _partition_checked(q, d, partition)
+    partition = _partition_checked(d, partition)
     n = total_dim(d)
     rep, adj = weight_multisets(q, d)
     blocks = slot_blocks(d)
@@ -120,7 +120,7 @@ def partition_indicator_sampling(q: Quiver, d, partition, delta: CentralWeight,
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    partition = _partition_checked(q, d, partition)
+    partition = _partition_checked(d, partition)
     dexp = delta.expand(d)
     vectors = _signed_weight_vectors(q, d)
     tested = False

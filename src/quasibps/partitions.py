@@ -13,12 +13,12 @@ in half the width plus the central pairing is E(a_j, d - a_j)/2 +
 partition is admissible exactly when each of its parts e passes that test
 on its own: the *per-part rule*.  That test is H(e) in the integers, with
 H the function whose floor gives the window's cuts in ``magic``; both read
-it from ``weights._scaled_half_widths``, here as one table D H(e) over all
-e <= d, e admissible exactly when D divides D H(e).  The admissible set is
-therefore built as the partitions of d into admissible parts, by the same
-walk that lists all partitions; no partition with an inadmissible part is
-ever formed.  The routes that walk the orderings of the parts are kept in
-``oracle`` as references.
+it from ``weights._scaled_half_widths``, which evaluates D H on just the
+parts it is given, e admissible exactly when D divides D H(e).  The
+admissible set is therefore built as the partitions of d into admissible
+parts, by the same walk that lists all partitions; no partition with an
+inadmissible part is ever formed.  The routes that walk the orderings of
+the parts are kept in ``oracle`` as references.
 
 When <delta, d> is an integer, so is H(d), and E is symmetric, so H(e) and
 H(d - e) sum to the integer E(e, d - e) + <delta, d>: a part is admissible
@@ -45,7 +45,7 @@ from .quiver import (
     require_symmetric,
     total_dim,
 )
-from .weights import CentralWeight, _scaled_delta, _scaled_half_widths
+from .weights import CentralWeight, _scaled_half_widths
 
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
 NUM_BOUND, DEN_BOUND = 2, 3  # |numerators| and denominators of the search's corrections
@@ -134,7 +134,7 @@ def enumerate_vector_partitions(d, *, force: bool = False) -> list[VectorPartiti
     return _partitions_into(d, _parts(d, force))
 
 
-def _partition_checked(q, d, partition) -> VectorPartition:
+def _partition_checked(d, partition) -> VectorPartition:
     if not isinstance(partition, VectorPartition):
         partition = VectorPartition(tuple(partition))
     if any(len(p) != len(d) for p in partition.parts):
@@ -146,22 +146,17 @@ def _partition_checked(q, d, partition) -> VectorPartition:
 
 
 def _admissible_parts(q: Quiver, d, delta: CentralWeight, parts) -> list[DimVector]:
-    """The e of ``parts`` = ``_parts(d, ...)`` with H(e) = E(e, d - e)/2 +
-    <delta, e> an integer.  D H over all profiles runs in ascending order, so
-    reversed it pairs with the parts, the zero profile left over at its end."""
-    delta.expand(d)  # refuses a central weight with another vertex count
-    scale, sdelta = _scaled_delta(delta)
-    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)))
-    return [e for e, h in zip(parts, reversed(table)) if h % scale == 0]
+    """The e of ``parts`` with H(e) = E(e, d - e)/2 + <delta, e> an integer."""
+    scale, table = _scaled_half_widths(q, d, delta, range(len(d)), parts)
+    return [e for e, h in zip(parts, table) if h % scale == 0]
 
 
 def partition_indicator(q: Quiver, d, partition, delta: CentralWeight) -> int:
     """1 when every distinct part of the partition is admissible, else 0."""
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    partition = _partition_checked(q, d, partition)
-    admissible = set(_admissible_parts(q, d, delta, _parts(d, True)))
-    return int(all(e in admissible for e in partition.multiplicities()))
+    distinct = list(_partition_checked(d, partition).multiplicities())
+    return int(len(_admissible_parts(q, d, delta, distinct)) == len(distinct))
 
 
 def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,

@@ -39,7 +39,7 @@ from .partitions import (
     partition_indicator,
 )
 from .quiver import Quiver, _Record, loop_quiver, slot_blocks, total_dim, triple
-from .weights import CentralWeight, _scaled_delta, _scaled_half_widths, weyl_vector, window_width
+from .weights import CentralWeight, _scaled_half_widths, weyl_vector, window_width
 from .zonotope import bounding_box, contains, support, weight_zonotope
 
 
@@ -291,6 +291,7 @@ def check_membership_routes():
         box = bounding_box(z)
         blocks = slot_blocks(d)
         rho = weyl_vector(d)
+        profiles = list(product(*(range(m + 1) for m in d)))
         for trial in range(90):
             samples += 1
             raw = [Fraction(rng.randint(4 * int(lo) - 2, 4 * int(hi) + 2), 4)
@@ -317,11 +318,10 @@ def check_membership_routes():
             chi = [rng.randint(int(lo) - 1, int(hi) + 1) for lo, hi in box]
             chi = [c for b0, b1 in blocks for c in sorted(chi[b0:b1])]
             delta = CentralWeight.spread(d, sum(chi))
-            scale, sdelta = _scaled_delta(delta)
-            cuts = [h // scale for h in _scaled_half_widths(q, d, scale, sdelta, range(len(d)))]
+            scale, table = _scaled_half_widths(q, d, delta, range(len(d)), profiles)
             tops = [[0, *accumulate(reversed(chi[b0:b1]))] for b0, b1 in blocks]
-            by_cuts = all(sum(t[k] for t, k in zip(tops, ks)) <= f
-                          for ks, f in zip(product(*(range(m + 1) for m in d)), cuts))
+            by_cuts = all(sum(t[k] for t, k in zip(tops, ks)) <= h // scale
+                          for ks, h in zip(profiles, table))
             shifted = tuple(c + r - e for c, r, e in zip(chi, rho, delta.expand(d)))
             if by_cuts != contains(z, shifted):
                 fails.append(("cut rule disagrees", d, tuple(chi)))

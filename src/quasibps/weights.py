@@ -17,15 +17,14 @@ window width plus the central pairing is H(k) = E(k, d - k)/2 + <delta, k>,
 with E(a, b) = a^T Q b - a.b.  The window's cut at the profile k is
 floor(H(k)) (``magic``), and a part e is admissible exactly when H(e) is an
 integer (``partitions``).  Both read D H, scaled by D = 2 lcm of the
-denominators of delta, from ``_scaled_half_widths``: the one code that
-evaluates H.
+denominators of delta, from ``_scaled_half_widths``, which evaluates it on
+just the profiles it is given: the one code that evaluates H.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 
 from .errors import InputSchemaError
 from .quiver import (
@@ -147,23 +146,21 @@ class CentralWeight(_Record):
         return CentralWeight(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
-def _scaled_delta(delta):
-    """D = 2 lcm(denominators of delta) and the integers D delta_i."""
+def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
+    """D = 2 lcm of the denominators of delta, and D H(k) for each k of
+    ``profiles``, a profile over the blocks ``verts``, which hold every
+    nonzero block.  Refuses a central weight with another vertex count."""
+    delta.expand(d)
     scale = 2 * math.lcm(*(x.denominator for x in delta.values))
-    return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
-
-
-def _scaled_half_widths(q: Quiver, d, scale, sdelta, verts) -> list[int]:
-    """D H(k) over the profiles k of the blocks ``verts``, which hold every
-    nonzero block, in ascending order with the first block most significant."""
+    sdelta = [x.numerator * (scale // x.denominator) for x in delta.values]
     out = []
-    for k in product(*(range(d[i] + 1) for i in verts)):
+    for k in profiles:
         h = 0
         for a, i in enumerate(verts):
             cut = sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) - d[i] + k[a]
             h += k[a] * (scale // 2 * cut + sdelta[i])
         out.append(h)
-    return out
+    return scale, out
 
 
 def parse_rational(text: str) -> Fraction:

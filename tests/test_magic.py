@@ -14,13 +14,12 @@ from quasibps.errors import (
     CutoffExceededError,
     InputSchemaError,
 )
-from quasibps.magic import _slot_bounds, magic_dimension, magic_dimension_v
+from quasibps.magic import magic_dimension, magic_dimension_v
 from quasibps.oracle import lattice_count_naive
 from quasibps.partitions import _admissible_parts, _parts
 from quasibps.quiver import Quiver, loop_quiver, slot_blocks, total_dim
 from quasibps.weights import (
     CentralWeight,
-    _scaled_delta,
     _scaled_half_widths,
     integrality_indicator,
     pairing,
@@ -162,14 +161,26 @@ def test_largest_block_is_counted_last(monkeypatch):
     block_states = magic._block_states
     ranks = []
 
-    def record_rank(blo, *args):
-        ranks.append(len(blo))
-        return block_states(blo, *args)
+    def record_rank(m, *args):
+        ranks.append(m)
+        return block_states(m, *args)
 
     monkeypatch.setattr(magic, "_block_states", record_rank)
     q = Quiver(("0", "1"), ((3, 2), (2, 1)))
     assert magic_dimension_v(q, d, 1) == 23_841_480
     assert ranks[-1] == max(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 3), st.integers(1, 8), st.data())
+def test_odd_loop_count_depends_on_gcd_only(g, d, data):
+    # on the 2g+1-loop quiver the count at v depends only on gcd(v, d), so a
+    # unit multiple of v plus a multiple of d gives the same count
+    v = data.draw(st.integers(-2 * d, 3 * d))
+    u = data.draw(st.sampled_from([u for u in range(-d, d + 1) if math.gcd(u, d) == 1]))
+    w = u * v + data.draw(st.integers(-2, 2)) * d
+    q = loop_quiver(2 * g + 1)
+    assert magic_dimension_v(q, (d,), w) == magic_dimension_v(q, (d,), v)
 
 
 def test_jobs_start_no_process(monkeypatch):
@@ -233,20 +244,30 @@ def test_count_is_invariant_under_relabelling(case, data):
 
 
 def _box_ranges(q, d, delta):
-    """Slot ranges of the bounding box shifted by delta - rho, None if one is empty."""
+    """Lower and upper slot ends of the bounding box shifted by delta - rho."""
     shift = [x - r for x, r in zip(delta.expand(d), weyl_vector(d))]
     ranges = [(math.ceil(a + s), math.floor(b + s))
               for (a, b), s in zip(bounding_box(weight_zonotope(q, d)), shift)]
-    if any(a > b for a, b in ranges):
-        return None
     return [a for a, _ in ranges], [b for _, b in ranges]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(window_cases())
-def test_slot_bounds_match_bounding_box(case):
+def test_block_ranges_match_bounding_box(case):
+    # the count's range for every slot of block i, [v - F(d - e_i), F(e_i)],
+    # is the shifted box's tightest lower and upper ends over the block
     q, d, delta = case
-    assert _slot_bounds(q, d, *_scaled_delta(delta)) == _box_ranges(q, d, delta)
+    v = delta.total_pairing(d)
+    if v.denominator != 1:
+        return
+    lo, hi = _box_ranges(q, d, delta)
+    for i, (b0, b1) in enumerate(slot_blocks(d)):
+        if b1 == b0:
+            continue
+        e = tuple(int(j == i) for j in range(len(d)))
+        scale, (top, rest) = _scaled_half_widths(q, d, delta, range(len(d)),
+                                                 [e, tuple(m - x for m, x in zip(d, e))])
+        assert (v - rest // scale, top // scale) == (max(lo[b0:b1]), min(hi[b0:b1]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -255,15 +276,15 @@ def test_weyl_cut_rule_matches_flow_membership(case):
     q, d, delta = case
     total = delta.total_pairing(d)
     ranges = _box_ranges(q, d, delta)
-    if total.denominator != 1 or ranges is None:
+    if total.denominator != 1 or any(a > b for a, b in zip(*ranges)):
         return
     # one step beyond the box on each side, so that points outside it are tested too
     lo = [x - 1 for x in ranges[0]]
     hi = [x + 1 for x in ranges[1]]
     verts = [i for i, m in enumerate(d) if m]
-    scale, sdelta = _scaled_delta(delta)
-    table = [h // scale for h in _scaled_half_widths(q, d, scale, sdelta, verts)]
-    cuts = list(zip(product(*(range(d[i] + 1) for i in verts)), table))
+    profiles = list(product(*(range(d[i] + 1) for i in verts)))
+    scale, table = _scaled_half_widths(q, d, delta, verts, profiles)
+    cuts = [(ks, h // scale) for ks, h in zip(profiles, table)]
     # the dominant chi in the ranges: one nondecreasing tuple per nonzero block
     per_block = []
     for b0, b1 in (slot_blocks(d)[i] for i in verts):
@@ -288,9 +309,8 @@ def test_scaled_half_widths_match_the_width_definition(case):
     # width plus the central pairing along the cocharacter 1 on the top k_i
     # slots of each block i
     q, d, delta = case
-    scale, sdelta = _scaled_delta(delta)
     profiles = list(product(*(range(m + 1) for m in d)))
-    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)))
+    scale, table = _scaled_half_widths(q, d, delta, range(len(d)), profiles)
     assert len(table) == len(profiles)
 
     def top_slots(k):

@@ -28,6 +28,7 @@ from quasibps.weights import CentralWeight
 
 TORIC1 = Quiver(("0", "1"), ((1, 3), (3, 1)))
 CROSS = Quiver(("a", "b"), ((1, 2), (2, 1)))
+ALL_ONES_3 = Quiver(("0", "1", "2"), ((1, 1, 1),) * 3)
 
 
 def test_vector_partition_canonical():
@@ -98,10 +99,29 @@ def test_orderings_of_a_multiset():
 
 
 def test_full_partition_is_always_admissible():
-    for q, d in [(loop_quiver(3), (4,)), (TORIC1, (1, 1)), (CROSS, (2, 2))]:
+    for q, d in [(loop_quiver(3), (4,)), (TORIC1, (1, 1)), (CROSS, (2, 2)),
+                 (ALL_ONES_3, (30, 30, 30))]:
         for v in range(0, 4):
             delta = CentralWeight.spread(d, v)
             assert partition_indicator(q, d, [tuple(d)], delta) == 1
+
+
+def test_indicator_evaluates_only_the_distinct_parts(monkeypatch):
+    # H is evaluated on the partition's own parts, not on every profile of d
+    half_widths = partitions._scaled_half_widths
+    seen = []
+
+    def record(q, d, delta, verts, profiles):
+        seen.append(list(profiles))
+        return half_widths(q, d, delta, verts, seen[-1])
+
+    monkeypatch.setattr(partitions, "_scaled_half_widths", record)
+    parts = [(1, 0), (1, 1), (1, 0), (0, 1)]
+    for v in range(0, 4):
+        delta = CentralWeight.spread((3, 2), v)
+        assert partition_indicator(CROSS, (3, 2), parts, delta) == \
+            partition_indicator_blockwise(CROSS, (3, 2), parts, delta)
+    assert seen == [[(1, 1), (1, 0), (0, 1)]] * 4
 
 
 def test_indicator_three_loop_rank_two():
