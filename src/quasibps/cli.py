@@ -6,8 +6,8 @@ vertex order of the quiver file; there is no reordering or matching by name.
 
 Exit codes: 0 success, 1 failed verify check, 2 malformed input or an
 unwritable report path, 3 asymmetric quiver, 4 refused blowup (lift the
-cutoff with --force), 5 two counting routes disagree under
---fast-membership checked.
+cutoff with --force; find-delta has no --force, so its rank-20 limit
+stays), 5 two counting routes disagree under --fast-membership checked.
 """
 
 from __future__ import annotations

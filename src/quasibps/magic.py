@@ -21,18 +21,21 @@ H(k) = h(k) - sum_i k_i (d_i - k_i)/2 + sum_i k_i delta_i, which is
 E(k, d - k)/2 + <delta, k>: the same H whose integrality decides part
 admissibility.  ``weights._scaled_half_widths`` evaluates it for both.
 
-The count walks the nonzero blocks in ascending order of d_i, ties in
-vertex order, so the largest comes last.  Once some blocks are fixed, the
-rest depends only on the running total and on the residual caps
-c(r) = min over the fixed profiles of F - sum T, one per profile r of the
-later blocks: one layered pass over the blocks carries {(c, total): ways}.
-Inside a block a layered walk over the slots, top first, carries (c,
-previous value, prefix sum); the last block's residual is empty, since
-nothing follows it.  Every bound is read from the one table of D H, D = 2
-lcm of the denominators of delta: v = H(d) = <delta, d>, and every slot of
-block i lies in [v - F(d - e_i), F(e_i)], since the top slot alone is cut
-by F(e_i) and the other slots of the sum v by F(d - e_i).  No zonotope is
-built, no membership test runs and no process starts.
+The count is one layered walk over every slot: the nonzero blocks in
+ascending order of d_i, ties in vertex order, so the largest comes last,
+and inside a block the top slot first.  A state is keyed by what the rest
+of the walk can still see: the total of the earlier blocks and, for each
+profile r of the later blocks, the residual min over the passed profiles
+of F - sum T followed by the caps F of the profiles still to come; under
+the key it carries the previous value and the block's prefix sum.  The
+last block has no later profiles and keeps no residual, so its states are
+keyed by its remaining caps and the total alone, and choices in the
+earlier blocks that leave the same caps merge.  Every bound is read from
+the one table of D H, D = 2 lcm of the denominators of delta:
+v = H(d) = <delta, d>, and every slot of block i lies in
+[v - F(d - e_i), F(e_i)], since the top slot alone is cut by F(e_i) and
+the other slots of the sum v by F(d - e_i).  No zonotope is built, no
+membership test runs and no process starts.
 ``fast="checked"`` also runs the flow-membership reference
 ``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
 two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
@@ -41,6 +44,7 @@ two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 from __future__ import annotations
 
 from itertools import product
+from operator import sub
 
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
 from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, total_dim
@@ -104,64 +108,49 @@ def _window_count(q, d, delta) -> int:
     for i in verts:
         stride //= d[i] + 1
         ranges.append((d[i], v - cuts[-1 - stride], cuts[stride]))
-    nb = len(ranges)
 
     # rest_lo[i][r]: lower bound on the top sums of blocks i.. at their profile
     # r; rest_hi[i]: bound on their full sum
-    rest_lo = [[0] for _ in range(nb + 1)]
-    rest_hi = [0] * (nb + 1)
-    for i in range(nb - 1, -1, -1):
-        m, lo, hi = ranges[i]
-        rest_lo[i] = [k * lo + r for k in range(m + 1) for r in rest_lo[i + 1]]
-        rest_hi[i] = m * hi + rest_hi[i + 1]
+    rest_lo, rest_hi = [[0]], [0]
+    for m, lo, hi in reversed(ranges):
+        rest_lo.insert(0, [k * lo + r for k in range(m + 1) for r in rest_lo[0]])
+        rest_hi.insert(0, m * hi + rest_hi[0])
 
-    # one layer per block: {(residual caps over the later profiles, total): ways}
-    layer = {(tuple(cuts), 0): 1}
+    # one layer per slot: {(c, earlier blocks' total): {(last value, block prefix
+    # sum): ways}}, c flat over (k, r), r a later profile: first the residual
+    # min over the passed k of F - sum T, then the rows of F still to come
+    layer = {(tuple(cuts), 0): {(0, 0): 1}}
     for i, (m, lo, hi) in enumerate(ranges):
         later = rest_lo[i + 1]
-        width = len(later)  # the caps c are flat over (k_i, r), r a later profile
-        nxt: dict = {}
-        for (c, acc), ways in layer.items():
-            need = v - acc
-            if i == nb - 1:  # nothing follows the last block: c is its caps, no residual
-                caps, rows = c, [()] * (m + 1)
-            else:
-                rows = [c[k * width:(k + 1) * width] for k in range(m + 1)]
-                caps = [min(a - b for a, b in zip(row, later)) for row in rows]
-            states = _block_states(m, lo, hi, caps, rows, need - rest_hi[i + 1], need - later[-1])
-            for res, group in states.items():
-                for (_, t), n in group.items():
-                    nxt[res, acc + t] = nxt.get((res, acc + t), 0) + ways * n
-        layer = nxt
-    return layer.get(((), v), 0)
-
-
-def _block_states(m, lo, hi, caps, rows, need_lo, need_hi) -> dict:
-    """{residual: {(last value, T(m)): ways}} over the nondecreasing sequences
-    of m values in [lo, hi] with T(k) <= caps[k] and need_lo <= T(m) <= need_hi,
-    where residual = min over k of rows[k] - T(k) entrywise.  Top slot first;
-    states are grouped by residual, which the inner loop never touches."""
-    if caps[0] < 0:
-        return {}
-    layer = {rows[0]: {(hi, 0): 1}}
-    for k in range(m):
-        # slot p: the p slots below it sum to at least p lo, and to at most
-        # p hi and p times its value
-        p, cap, row = m - 1 - k, caps[k + 1], rows[k + 1]
-        below_lo, below_hi = p * lo, p * hi
-        nxt: dict = {}
-        for res, group in layer.items():
-            step: dict = {}
-            for (prev, s), ways in group.items():
-                short = need_lo - s
-                for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
-                               min(prev, cap - s, need_hi - s - below_lo) + 1):
-                    step[x, s + x] = step.get((x, s + x), 0) + ways
-            if not row:
-                nxt[res] = step
-                continue
-            for (x, t), ways in step.items():
-                into = nxt.setdefault(tuple([min(a, b - t) for a, b in zip(res, row)]), {})
-                into[x, t] = into.get((x, t), 0) + ways
-        layer = nxt
-    return layer
+        w, sum_lo, sum_hi = len(later), v - rest_hi[i + 1], v - later[-1]
+        # the last block keeps no residual and drops its k = 0 row, which is
+        # >= 0 already: each earlier cap was checked at the zero later profile
+        hw = w if i + 1 < len(ranges) else 0
+        layer = {(c[w - hw:], acc): {(hi, 0): sum(group.values())}
+                 for (c, acc), group in layer.items()}
+        for p in range(m - 1, -1, -1):
+            # p slots below this one sum to at least p lo, and to at most p hi
+            # and p times its value
+            below_lo, below_hi = p * lo, p * hi
+            nxt: dict = {}
+            for (c, acc), group in layer.items():
+                head, row, rest = c[:hw], c[hw:hw + w], c[hw + w:]
+                cap = min(map(sub, row, later))
+                need_lo, need_hi = sum_lo - acc, sum_hi - acc  # bounds on T(m)
+                # with no residual every value keeps the key, and the last
+                # slot of the last block makes the total v
+                step = {} if hw else nxt.setdefault((rest, acc if p else v), {})
+                for (prev, s), ways in group.items():
+                    short = need_lo - s
+                    for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
+                                   min(prev, cap - s, need_hi - s - below_lo) + 1):
+                        step[x, s + x] = step.get((x, s + x), 0) + ways
+                if not hw:
+                    continue
+                for (x, y), ways in step.items():
+                    key = (tuple([min(a, b - y) for a, b in zip(head, row)]) + rest,
+                           acc if p else acc + y)
+                    into = nxt.setdefault(key, {})
+                    into[x, y] = into.get((x, y), 0) + ways
+            layer = nxt
+    return sum(layer.get(((), v), {}).values())

@@ -154,21 +154,29 @@ def test_forced_rank_17_count_without_generators_is_zero():
     assert magic_dimension_v(loop_quiver(0), (17,), 0, force=True) == 0
 
 
+def test_forced_two_block_counts_above_the_cutoff():
+    # rank 10 and 12, two blocks of rank > 1; the BPS assembly over
+    # admissible partitions gives the same integers
+    assert magic_dimension_v(TORIC[1], (5, 5), 1, force=True) == 1_822_630
+    assert magic_dimension_v(CROSS, (6, 6), 0, force=True) == 3_666_387
+
+
 def test_largest_block_is_counted_last(monkeypatch):
     # blocks are walked in ascending order of rank, so the largest carries no
-    # residual; largest first, all-twos d=(1,4,6) takes about 5x as long
+    # residual; largest first, all-twos d=(1,4,6) takes about 4.5x as long
+    # (2.4 s against 0.5 s)
     d = (11, 1)
-    block_states = magic._block_states
+    half_widths = magic._scaled_half_widths
     ranks = []
 
-    def record_rank(m, *args):
-        ranks.append(m)
-        return block_states(m, *args)
+    def record_ranks(q, d, delta, verts, profiles):
+        ranks.extend(d[i] for i in verts)
+        return half_widths(q, d, delta, verts, profiles)
 
-    monkeypatch.setattr(magic, "_block_states", record_rank)
+    monkeypatch.setattr(magic, "_scaled_half_widths", record_ranks)
     q = Quiver(("0", "1"), ((3, 2), (2, 1)))
     assert magic_dimension_v(q, d, 1) == 23_841_480
-    assert ranks[-1] == max(d)
+    assert ranks == [1, 11]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
