@@ -6,15 +6,13 @@ vertex order of the quiver file; there is no reordering or matching by name.
 
 Exit codes: 0 success, 1 failed verify check, 2 malformed input or an
 unwritable report path, 3 asymmetric quiver, 4 refused blowup (lift the
-cutoff with --force; find-delta has no --force, so its rank-20 limit
-stays), 5 two counting routes disagree under --fast-membership checked.
+cutoff with --force), 5 two counting routes disagree under
+--fast-membership checked.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -71,11 +69,10 @@ def _emit(fields: dict, output: str) -> None:
     if output == "json":
         print(json.dumps(fields, sort_keys=True, separators=(",", ":")))
     elif output == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        import csv  # loaded only for csv output, so importing the CLI stays cheap
+        writer = csv.writer(sys.stdout)
         writer.writerow(fields.keys())
         writer.writerow("" if v is None else v for v in fields.values())
-        sys.stdout.write(buf.getvalue())
     else:
         width = max(len(k) for k in fields)
         for key, value in fields.items():
@@ -102,12 +99,10 @@ def cmd_s_set(args) -> int:
                    "partitions": [[list(p) for p in a.parts] for a in parts]}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     elif args.output == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        import csv
+        writer = csv.writer(sys.stdout)
         writer.writerow(["partition"])
-        for a in parts:
-            writer.writerow([str(a)])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows([str(a)] for a in parts)
     else:
         for a in parts:
             print(a)
@@ -151,7 +146,7 @@ def cmd_bps_dim(args) -> int:
 def cmd_find_delta(args) -> int:
     q = _load_quiver_arg(args)
     d = _parse_dim(args.dim)
-    delta = find_central_weight(q, d, max_v=args.max_v)
+    delta = find_central_weight(q, d, max_v=args.max_v, force=args.force)
     if delta is None:
         _emit({"delta": None, "v": None}, args.output)
         return 0
@@ -197,7 +192,7 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_quiver_args(sub, loops_only=False):
+def _add_quiver_args(sub, loops_only=False, delta=False):
     if not loops_only:
         sub.add_argument("--quiver", metavar="PATH",
                          help="quiver JSON file: vertices, arrow matrix, optional potential")
@@ -205,13 +200,72 @@ def _add_quiver_args(sub, loops_only=False):
                      help="shortcut: one-vertex quiver with N loops")
     sub.add_argument("--dim", required=True, metavar="A,B,..",
                      help="dimension vector, comma-separated, in quiver vertex order")
+    if delta:
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--v", type=int,
+                           help="integer weight parameter; delta = v/dbar at each vertex")
+        group.add_argument("--delta", metavar="P/Q,..",
+                           help="central weight, comma-separated rationals in vertex order")
 
 
-def _add_delta_args(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--v", type=int, help="integer weight parameter; delta = v/dbar at each vertex")
-    group.add_argument("--delta", metavar="P/Q,..",
-                       help="central weight, comma-separated rationals in vertex order")
+def _magic_count_args(p):
+    _add_quiver_args(p, delta=True)
+    p.add_argument("--fast-membership", choices=("on", "off", "checked"), default="on",
+                   help="on and off both run the block-profile count; checked also runs "
+                        "the flow-membership count and exits 5 if they differ")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked for compatibility; starts no processes")
+
+
+def _ih_dim_args(p):
+    _add_quiver_args(p, loops_only=True)
+    p.add_argument("--v", type=int, help="integer weight parameter")
+
+
+def _bps_dim_args(p):
+    _add_quiver_args(p, delta=True)
+    p.add_argument("--blocks", metavar="PATH", help="block dimension table JSON file")
+    p.add_argument("--builtin", metavar="NAME",
+                   help="shipped block table: tripled-one-loop, one-loop, toric-potential")
+    p.add_argument("--flavor", choices=("mf", "preprojective"),
+                   help="also derive per-parity K-theory dimensions")
+
+
+def _find_delta_args(p):
+    _add_quiver_args(p)
+    p.add_argument("--max-v", type=int, default=None, help="search bound on the weight parameter")
+
+
+def _verify_args(p):
+    p.add_argument("--deep", action="store_true", help="also run the slow oracle suites")
+    p.add_argument("--report", metavar="PATH", help="write the JSON report here")
+    p.add_argument("--quiet", action="store_true", help="no per-check progress on stderr")
+
+
+# name: (help, handler, adds the subcommand's own options, takes --force, --output formats)
+_COMMANDS = {
+    "magic-count": ("lattice count of dominant weights in the shifted window",
+                    cmd_magic_count, _magic_count_args, True, ("table", "json", "csv")),
+    "s-set": ("admissible partitions of the dimension vector",
+              cmd_s_set, lambda p: _add_quiver_args(p, delta=True), True, ("table", "json", "csv")),
+    "ih-dim": ("score-sequence count for an odd loop quiver",
+               cmd_ih_dim, _ih_dim_args, False, ("table", "json", "csv")),
+    "bps-dim": ("assembled BPS dimension over admissible partitions",
+                cmd_bps_dim, _bps_dim_args, True, ("table", "json", "csv")),
+    "find-delta": ("smallest central weight with singleton admissible set",
+                   cmd_find_delta, _find_delta_args, True, ("table", "json", "csv")),
+    "verify": ("run the release self-checks", cmd_verify, _verify_args, False, ("table", "json")),
+}
+
+
+def _configure(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, func, add_args, force, formats = _COMMANDS[name]
+    add_args(p)
+    if force:
+        p.add_argument("--force", action="store_true", help="override the size cutoff")
+    p.add_argument("--output", choices=formats, default="table")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,68 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quasibps",
         description="Exact window, partition, and BPS dimension counts for symmetric quivers.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("magic-count", help="lattice count of dominant weights in the shifted window")
-    _add_quiver_args(p)
-    _add_delta_args(p)
-    p.add_argument("--fast-membership", choices=("on", "off", "checked"), default="on",
-                   help="on and off both run the block-profile count; checked also runs "
-                        "the flow-membership count and exits 5 if they differ")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and checked for compatibility; starts no processes")
-    p.add_argument("--force", action="store_true", help="override the size cutoff")
-    p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_magic_count)
-
-    p = subs.add_parser("s-set", help="admissible partitions of the dimension vector")
-    _add_quiver_args(p)
-    _add_delta_args(p)
-    p.add_argument("--force", action="store_true", help="override the size cutoff")
-    p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_s_set)
-
-    p = subs.add_parser("ih-dim", help="score-sequence count for an odd loop quiver")
-    _add_quiver_args(p, loops_only=True)
-    p.add_argument("--v", type=int, help="integer weight parameter")
-    p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_ih_dim)
-
-    p = subs.add_parser("bps-dim", help="assembled BPS dimension over admissible partitions")
-    _add_quiver_args(p)
-    _add_delta_args(p)
-    p.add_argument("--blocks", metavar="PATH", help="block dimension table JSON file")
-    p.add_argument("--builtin", metavar="NAME",
-                   help="shipped block table: tripled-one-loop, one-loop, toric-potential")
-    p.add_argument("--flavor", choices=("mf", "preprojective"),
-                   help="also derive per-parity K-theory dimensions")
-    p.add_argument("--force", action="store_true", help="override the size cutoff")
-    p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_bps_dim)
-
-    p = subs.add_parser("find-delta", help="smallest central weight with singleton admissible set")
-    _add_quiver_args(p)
-    p.add_argument("--max-v", type=int, default=None, help="search bound on the weight parameter")
-    p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_find_delta)
-
-    p = subs.add_parser("verify", help="run the release self-checks")
-    p.add_argument("--deep", action="store_true", help="also run the slow oracle suites")
-    p.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    p.add_argument("--quiet", action="store_true", help="no per-check progress on stderr")
-    p.add_argument("--output", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, *_) in _COMMANDS.items():
+        _configure(subs.add_parser(name, help=help_text), name)
     return parser
 
 
-_parser = None  # built by the first main call, so that importing the CLI stays cheap
+# built on first use, keyed by subcommand name (None: the full parser), so that
+# importing the CLI stays cheap and a run builds only the parser it needs
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name not in _parsers:
+        _parsers[name] = (build_parser() if name is None else
+                          _configure(argparse.ArgumentParser(prog=f"quasibps {name}"), name))
+    args = _parsers[name].parse_args(argv if name is None else argv[1:])
     try:
         return args.func(args)
     except InputSchemaError as exc:

@@ -169,7 +169,8 @@ def admissible_partitions(q: Quiver, d, delta: CentralWeight, *,
     return tuple(_partitions_into(d, _admissible_parts(q, d, delta, _parts(d, force))))
 
 
-def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWeight | None:
+def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
+                        force: bool = False) -> CentralWeight | None:
     """Search for a central weight whose only admissible partition is {d}.
 
     Tries the evenly spread weights with parameter 0, 1, ..., max_v first,
@@ -177,7 +178,8 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
     numerators bounded by NUM_BOUND and denominators by DEN_BOUND.  Returns
     the first hit in that deterministic order, or None, skipping each nums/den
     with gcd(den, *nums) > 1: it equals a correction already tried and
-    rejected.  ``max_v`` is None (total rank minus one) or a nonnegative int.
+    rejected.  ``max_v`` is None (total rank minus one) or a nonnegative int;
+    ``force`` lifts the partition cutoff on the total rank.
 
     A candidate is accepted when d is its only admissible part, with no
     partition listed.  That is exact when <delta, d> is an integer (see the
@@ -190,7 +192,7 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None) -> CentralWei
         raise InputSchemaError("dimension vector is zero")
     if max_v is not None and not is_count(max_v):
         raise InputSchemaError(f"max_v {max_v!r} is not a nonnegative integer")
-    parts = _parts(d, False)
+    parts = _parts(d, force)
     vs = range(total_dim(d) if max_v is None else max_v + 1)
     spread = partial(CentralWeight.spread, d)
     corrected = (spread(v) + CentralWeight(tuple(Fraction(num, den) for num in nums))

@@ -1,5 +1,9 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,9 +40,7 @@ def test_magic_count_formats_agree(capsys):
     _, csvout, _ = run(capsys, *args, "--output", "csv")
     value = int(table.split()[-1])
     assert json.loads(js) == {"magic_k0_dim": value}
-    lines = csvout.strip().splitlines()
-    assert lines[0] == "magic_k0_dim"
-    assert int(lines[1]) == value
+    assert csvout == f"magic_k0_dim\r\n{value}\r\n"
 
 
 def test_magic_count_quiver_file(tmp_path, capsys):
@@ -104,10 +106,58 @@ def test_exit_codes(tmp_path, capsys):
 def test_parser_is_reused_without_carrying_options(capsys):
     code, out, _ = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0", "--force")
     assert code == 0 and out.split() == ["magic_k0_dim", "0"]
-    parser = cli._parser
+    parser = cli._parsers["magic-count"]
     code, _, err = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0")
     assert code == 4 and "cutoff" in err
-    assert cli._parser is parser
+    assert cli._parsers["magic-count"] is parser
+
+
+def test_one_run_builds_only_its_subcommand_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_parsers", {})
+    argv = ("magic-count", "--loops", "3", "--dim", "2", "--v", "1")
+    assert run(capsys, *argv)[0] == 0
+    assert built == ["quasibps magic-count"]
+    assert run(capsys, *argv)[0] == 0
+    assert built == ["quasibps magic-count"]
+
+
+def test_subcommand_parser_help_matches_full_parser(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parsers", {})
+    full = cli.build_parser()
+    subs = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli._COMMANDS)
+    for name, sub in subs.choices.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == sub.format_help()
+        assert cli._parsers[name].format_help() == sub.format_help()
+    assert None not in cli._parsers
+
+
+def test_unrecognized_option_reports_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["magic-count", "--loops", "3", "--dim", "2", "--v", "1", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quasibps magic-count ")
+    assert err.endswith("quasibps magic-count: error: unrecognized arguments: --bogus\n")
+
+
+def test_importing_the_cli_leaves_csv_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, quasibps.cli; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 def test_unknown_subcommand_exits_two():
@@ -127,7 +177,10 @@ def test_s_set_outputs(capsys):
     assert payload["partitions"][0] == [[4]]
     _, csvout, _ = run(capsys, "s-set", "--loops", "3", "--dim", "4", "--v", "1",
                        "--output", "csv")
-    assert csvout.strip().splitlines() == ["partition", "4"]
+    assert csvout == "partition\r\n4\r\n"
+    _, csvout, _ = run(capsys, "s-set", "--loops", "3", "--dim", "3", "--v", "0",
+                       "--output", "csv")
+    assert csvout == "partition\r\n3\r\n2+1\r\n1+1+1\r\n"
 
 
 def test_ih_dim(capsys):
@@ -230,10 +283,14 @@ def test_find_delta(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "max_v" in err
-    # the search lists no partition, but keeps the partition cutoff
+    # the search lists no partition, but keeps the partition cutoff unless forced
     code, out, err = run(capsys, "find-delta", "--loops", "3", "--dim", "21")
     assert code == 4 and out == ""
     assert err == "error: total rank 21 above partition cutoff 20; use force to override\n"
+    code, out, err = run(capsys, "find-delta", "--loops", "3", "--dim", "21", "--force",
+                         "--output", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"delta": ["1/21"], "v": 1}
 
 
 FAKE_PASS = [CheckResult("alpha", "first anchor", "1", "1", True, 3),

@@ -291,6 +291,12 @@ def test_find_central_weight_exhausted():
     assert find_central_weight(loop_quiver(3), (4,), max_v=0) is None
 
 
+def test_find_central_weight_force_lifts_the_cutoff():
+    with pytest.raises(CutoffExceededError):
+        find_central_weight(loop_quiver(3), (25,))
+    assert find_central_weight(loop_quiver(3), (25,), force=True) == CentralWeight.spread((25,), 1)
+
+
 def test_find_central_weight_second_stage():
     # no spread weight isolates {d}; the first sum-zero correction that does
     # moves a third from one vertex to the other
