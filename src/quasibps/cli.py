@@ -4,21 +4,29 @@ Subcommands: magic-count, s-set, ih-dim, bps-dim, find-delta, verify.
 Dimension vectors and central weights are entered comma-separated in the
 vertex order of the quiver file; there is no reordering or matching by name.
 
-Exit codes: 0 success, 1 failed verify check, 2 malformed input or an
-unwritable report path, 3 asymmetric quiver, 4 refused blowup (lift the
-cutoff with --force), 5 two counting routes disagree under
---fast-membership checked.
+Each subcommand's options are rows of one table, ``_COMMANDS``, which both
+the parser and the help read; the parser reads a command line as argparse
+did (``--opt value`` or ``--opt=value``, unique prefixes of long flags, the
+last of a repeated option wins) without importing argparse, whose gettext
+and locale imports cost more than a small count.
+
+Exit codes: 0 success, 1 failed verify check, 2 malformed input, a rejected
+command line or an unwritable report path, 3 asymmetric quiver, 4 refused
+blowup (lift the cutoff with --force), 5 two counting routes disagree under
+--fast-membership checked, 141 (128 + SIGPIPE) stdout closed by its reader,
+as in ``quasibps s-set ... | head -1``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bps import (
-    block_table_from_dict,
     bps_assembly_dim,
     builtin_block_table,
     ktheory_dim_from_bps,
@@ -192,118 +200,197 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_quiver_args(sub, loops_only=False, delta=False):
-    if not loops_only:
-        sub.add_argument("--quiver", metavar="PATH",
-                         help="quiver JSON file: vertices, arrow matrix, optional potential")
-    sub.add_argument("--loops", type=int, metavar="N",
-                     help="shortcut: one-vertex quiver with N loops")
-    sub.add_argument("--dim", required=True, metavar="A,B,..",
-                     help="dimension vector, comma-separated, in quiver vertex order")
-    if delta:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--v", type=int,
-                           help="integer weight parameter; delta = v/dbar at each vertex")
-        group.add_argument("--delta", metavar="P/Q,..",
-                           help="central weight, comma-separated rationals in vertex order")
+_REQUIRED = object()  # the default of an option every command line must give
+# option rows: (flag, metavar or a tuple of choices, type, default, help);
+# type None marks a switch, which takes no value and defaults to False
+_QUIVER = (("--quiver", "PATH", str, None,
+            "quiver JSON file: vertices, arrow matrix, optional potential"),
+           ("--loops", "N", int, None, "shortcut: one-vertex quiver with N loops"),
+           ("--dim", "A,B,..", str, _REQUIRED,
+            "dimension vector, comma-separated, in quiver vertex order"))
+_WEIGHT = (("--v", "V", int, None, "integer weight parameter; delta = v/dbar at each vertex"),
+           ("--delta", "P/Q,..", str, None,
+            "central weight, comma-separated rationals in vertex order"))
+_EXCLUSIVE = {"--v": "--delta", "--delta": "--v"}  # a command line gives at most one of a pair
+_FORCE = ("--force", None, None, False, "override the size cutoff")
+_OUTPUT = ("--output", ("table", "json", "csv"), str, "table", "output format")
 
-
-def _magic_count_args(p):
-    _add_quiver_args(p, delta=True)
-    p.add_argument("--fast-membership", choices=("on", "off", "checked"), default="on",
-                   help="on and off both run the block-profile count; checked also runs "
-                        "the flow-membership count and exits 5 if they differ")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and checked for compatibility; starts no processes")
-
-
-def _ih_dim_args(p):
-    _add_quiver_args(p, loops_only=True)
-    p.add_argument("--v", type=int, help="integer weight parameter")
-
-
-def _bps_dim_args(p):
-    _add_quiver_args(p, delta=True)
-    p.add_argument("--blocks", metavar="PATH", help="block dimension table JSON file")
-    p.add_argument("--builtin", metavar="NAME",
-                   help="shipped block table: tripled-one-loop, one-loop, toric-potential")
-    p.add_argument("--flavor", choices=("mf", "preprojective"),
-                   help="also derive per-parity K-theory dimensions")
-
-
-def _find_delta_args(p):
-    _add_quiver_args(p)
-    p.add_argument("--max-v", type=int, default=None, help="search bound on the weight parameter")
-
-
-def _verify_args(p):
-    p.add_argument("--deep", action="store_true", help="also run the slow oracle suites")
-    p.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    p.add_argument("--quiet", action="store_true", help="no per-check progress on stderr")
-
-
-# name: (help, handler, adds the subcommand's own options, takes --force, --output formats)
+# name: (help, handler, option rows)
 _COMMANDS = {
-    "magic-count": ("lattice count of dominant weights in the shifted window",
-                    cmd_magic_count, _magic_count_args, True, ("table", "json", "csv")),
-    "s-set": ("admissible partitions of the dimension vector",
-              cmd_s_set, lambda p: _add_quiver_args(p, delta=True), True, ("table", "json", "csv")),
-    "ih-dim": ("score-sequence count for an odd loop quiver",
-               cmd_ih_dim, _ih_dim_args, False, ("table", "json", "csv")),
-    "bps-dim": ("assembled BPS dimension over admissible partitions",
-                cmd_bps_dim, _bps_dim_args, True, ("table", "json", "csv")),
-    "find-delta": ("smallest central weight with singleton admissible set",
-                   cmd_find_delta, _find_delta_args, True, ("table", "json", "csv")),
-    "verify": ("run the release self-checks", cmd_verify, _verify_args, False, ("table", "json")),
+    "magic-count": ("lattice count of dominant weights in the shifted window", cmd_magic_count,
+                    _QUIVER + _WEIGHT + (
+                        ("--fast-membership", ("on", "off", "checked"), str, "on",
+                         "on and off both run the block-profile count; checked also runs "
+                         "the flow-membership count and exits 5 if they differ"),
+                        ("--threads", "THREADS", int, 1,
+                         "accepted and checked for compatibility; starts no processes"),
+                        _FORCE, _OUTPUT)),
+    "s-set": ("admissible partitions of the dimension vector", cmd_s_set,
+              _QUIVER + _WEIGHT + (_FORCE, _OUTPUT)),
+    "ih-dim": ("score-sequence count for an odd loop quiver", cmd_ih_dim,
+               _QUIVER[1:] + (("--v", "V", int, None, "integer weight parameter"), _OUTPUT)),
+    "bps-dim": ("assembled BPS dimension over admissible partitions", cmd_bps_dim,
+                _QUIVER + _WEIGHT + (
+                    ("--blocks", "PATH", str, None, "block dimension table JSON file"),
+                    ("--builtin", "NAME", str, None,
+                     "shipped block table: tripled-one-loop, one-loop, toric-potential"),
+                    ("--flavor", ("mf", "preprojective"), str, None,
+                     "also derive per-parity K-theory dimensions"),
+                    _FORCE, _OUTPUT)),
+    "find-delta": ("smallest central weight with singleton admissible set", cmd_find_delta,
+                   _QUIVER + (("--max-v", "MAX_V", int, None,
+                               "search bound on the weight parameter"), _FORCE, _OUTPUT)),
+    "verify": ("run the release self-checks", cmd_verify, (
+        ("--deep", None, None, False, "also run the slow oracle suites"),
+        ("--report", "PATH", str, None, "write the JSON report here"),
+        ("--quiet", None, None, False, "no per-check progress on stderr"),
+        ("--output", ("table", "json"), str, "table", "output format"))),
 }
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as values, not as options
 
 
-def _configure(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, func, add_args, force, formats = _COMMANDS[name]
-    add_args(p)
-    if force:
-        p.add_argument("--force", action="store_true", help="override the size cutoff")
-    p.add_argument("--output", choices=formats, default="table")
-    p.set_defaults(func=func)
-    return p
+def _form(row) -> str:
+    flag, meta, convert = row[:3]
+    meta = "{" + ",".join(meta) + "}" if isinstance(meta, tuple) else meta
+    return flag if convert is None else f"{flag} {meta}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasibps",
-        description="Exact window, partition, and BPS dimension counts for symmetric quivers.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _configure(subs.add_parser(name, help=help_text), name)
-    return parser
+def _usage(name) -> str:
+    if name is None:
+        return f"usage: quasibps [-h] {{{','.join(_COMMANDS)}}} ..."
+    forms = (_form(r) if r[3] is _REQUIRED else f"[{_form(r)}]" for r in _COMMANDS[name][2])
+    return f"usage: quasibps {name} [-h] {' '.join(forms)}"
 
 
-# built on first use, keyed by subcommand name (None: the full parser), so that
-# importing the CLI stays cheap and a run builds only the parser it needs
-_parsers: dict[str | None, argparse.ArgumentParser] = {}
+def _help(name) -> str:
+    """Help for subcommand ``name`` (None: the top level), not wrapped."""
+    if name is None:
+        about = "Exact window, partition, and BPS dimension counts for symmetric quivers."
+        rows = [(n, entry[0]) for n, entry in _COMMANDS.items()]
+    else:
+        about, rows = _COMMANDS[name][0], [(_form(r), r[4]) for r in _COMMANDS[name][2]]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([_usage(name), "", about, "", *(f"  {a:<{width}}  {b}" for a, b in rows)])
+
+
+def _fail(name, message: str):
+    """Exit 2 as argparse does: the usage line, then one error line, on stderr."""
+    prog = "quasibps" if name is None else f"quasibps {name}"
+    print(f"{_usage(name)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _classify(name, arg: str, flags):
+    """How argparse reads one token: None for a value, else (flag, inline value),
+    with flag None for an unknown option; an ambiguous prefix fails."""
+    if arg in flags:
+        return arg, None
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    head, eq, value = arg.partition("=")
+    if eq and head in flags:
+        return head, value
+    if arg[1] == "-":  # a long flag may be abbreviated to a unique prefix
+        hits = [f for f in flags if f.startswith(head)]
+        if len(hits) > 1:
+            _fail(name, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif arg.startswith("-h"):  # -hX is -h with the inline value X
+        return "-h", arg[2:]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _take_help(name, flag: str, value) -> None:
+    """Print the help and exit 0; an inline value fails as it does in argparse."""
+    rest = value if flag == "--help" or value is None else value.lstrip("h")  # -hh is -h -h
+    if value == "" or rest:
+        _fail(name, f"argument -h/--help: ignored explicit argument {rest!r}")
+    print(_help(name))
+    raise SystemExit(0)
+
+
+def _parse(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """Subcommand ``name``'s option values from ``argv``, and the tokens left over."""
+    rows = {row[0]: row for row in _COMMANDS[name][2]}
+    # "--" ends the options: it is left over itself, and every later token is a value
+    end, flags = argv.index("--") if "--" in argv else len(argv), [*_HELP, *rows]
+    kinds = [_classify(name, a, flags) for a in argv[:end]] + [(None, None)] * (end < len(argv))
+    kinds += [None] * (len(argv) - len(kinds))
+    given, extras, i = {}, [], 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(arg)
+            continue
+        flag, value = kind
+        if flag in _HELP:
+            _take_help(name, flag, value)
+        meta, convert = rows[flag][1:3]
+        if convert is None and value is not None:
+            _fail(name, f"argument {flag}: ignored explicit argument {value!r}")
+        if convert is not None and value is None:
+            if i == len(argv) or kinds[i] is not None:
+                _fail(name, f"argument {flag}: expected one argument")
+            value, i = argv[i], i + 1
+        try:
+            given[flag] = True if convert is None else convert(value)
+        except ValueError:
+            _fail(name, f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+        if isinstance(meta, tuple) and value not in meta:
+            _fail(name, f"argument {flag}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, meta))})")
+        if _EXCLUSIVE.get(flag) in given:
+            _fail(name, f"argument {flag}: not allowed with argument {_EXCLUSIVE[flag]}")
+    missing = [f for f, row in rows.items() if row[3] is _REQUIRED and f not in given]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    values = {f[2:].replace("-", "_"): given.get(f, row[3]) for f, row in rows.items()}
+    return SimpleNamespace(**values), extras
+
+
+def _read(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The subcommand ``argv`` names and its option values, read as argparse read them."""
+    # the first value names the subcommand; the tokens before it are options
+    at = next((i for i, arg in enumerate(argv)
+               if arg == "--" or _classify(None, arg, _HELP) is None), len(argv))
+    for flag, value in (_classify(None, arg, _HELP) for arg in argv[:at]):
+        if flag is not None:
+            _take_help(None, flag, value)
+    if argv[at:] in ([], ["--"]):
+        _fail(None, "the following arguments are required: command")
+    name = argv[at]
+    if name not in _COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args, unknown = _parse(name, argv[at + 1:])
+    if at or unknown:  # argparse names the parser that was left the tokens
+        _fail(None if at else name, f"unrecognized arguments: {' '.join(argv[:at] + unknown)}")
+    return name, args
+
+
+# the exit code of each error a subcommand reports, on one stderr line
+_EXIT_CODES = {InputSchemaError: 2, AsymmetricQuiverError: 3, CutoffExceededError: 4,
+               RouteDisagreementError: 5}
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
-    if name not in _parsers:
-        _parsers[name] = (build_parser() if name is None else
-                          _configure(argparse.ArgumentParser(prog=f"quasibps {name}"), name))
-    args = _parsers[name].parse_args(argv if name is None else argv[1:])
     try:
-        return args.func(args)
-    except InputSchemaError as exc:
+        name, args = _read(sys.argv[1:] if argv is None else argv)
+        code = _COMMANDS[name][1](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, as the
+        # Python docs' SIGPIPE note does, and exit as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AsymmetricQuiverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CutoffExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RouteDisagreementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasibps.cli as cli
 from quasibps import oracle, verify
@@ -106,13 +111,11 @@ def test_exit_codes(tmp_path, capsys):
 def test_parser_is_reused_without_carrying_options(capsys):
     code, out, _ = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0", "--force")
     assert code == 0 and out.split() == ["magic_k0_dim", "0"]
-    parser = cli._parsers["magic-count"]
     code, _, err = run(capsys, "magic-count", "--loops", "0", "--dim", "13", "--v", "0")
     assert code == 4 and "cutoff" in err
-    assert cli._parsers["magic-count"] is parser
 
 
-def test_one_run_builds_only_its_subcommand_parser(monkeypatch, capsys):
+def test_one_run_builds_no_argparse_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -121,26 +124,171 @@ def test_one_run_builds_only_its_subcommand_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.setattr(cli, "_parsers", {})
     argv = ("magic-count", "--loops", "3", "--dim", "2", "--v", "1")
     assert run(capsys, *argv)[0] == 0
-    assert built == ["quasibps magic-count"]
     assert run(capsys, *argv)[0] == 0
-    assert built == ["quasibps magic-count"]
+    assert built == []
 
 
-def test_subcommand_parser_help_matches_full_parser(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_parsers", {})
-    full = cli.build_parser()
-    subs = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subs.choices) == list(cli._COMMANDS)
-    for name, sub in subs.choices.items():
+def test_help_names_every_flag_and_subcommand(capsys):
+    for name, (about, _, rows) in cli._COMMANDS.items():
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out == sub.format_help()
-        assert cli._parsers[name].format_help() == sub.format_help()
-    assert None not in cli._parsers
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: quasibps {name} [-h] ") and about in out
+        for flag, meta, convert, _, help_text in rows:
+            if isinstance(meta, tuple):
+                flag += " {" + ",".join(meta) + "}"
+            elif convert is not None:
+                flag += f" {meta}"
+            assert f"  {flag}  " in out and help_text in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, (about, *_) in cli._COMMANDS.items():
+        assert f"  {name}  " in out and about in out
+
+
+def reference_parser(parser, name):
+    """argparse's parser for subcommand ``name``, built from the CLI's option table."""
+    exclusive = None
+    for flag, meta, convert, default, help_text in cli._COMMANDS[name][2]:
+        group = parser
+        if flag in cli._EXCLUSIVE:
+            group = exclusive = exclusive or parser.add_mutually_exclusive_group()
+        if convert is None:
+            group.add_argument(flag, action="store_true", help=help_text)
+            continue
+        required = default is cli._REQUIRED
+        shown = {"choices": meta} if isinstance(meta, tuple) else {"metavar": meta}
+        group.add_argument(flag, type=convert, required=required, help=help_text,
+                           default=None if required else default, **shown)
+    return parser
+
+
+def reference_read(argv):
+    """The parent's reading of a command line: the subcommand's own parser when
+    the line starts with a subcommand, else the full parser."""
+    if argv and argv[0] in cli._COMMANDS:
+        parser = reference_parser(argparse.ArgumentParser(prog=f"quasibps {argv[0]}"), argv[0])
+        return argv[0], parser.parse_args(argv[1:])
+    parser = argparse.ArgumentParser(prog="quasibps")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (about, *_) in cli._COMMANDS.items():
+        reference_parser(subs.add_parser(name, help=about), name)
+    args = parser.parse_args(argv)
+    return args.command, args
+
+
+BENCH_LINES = [
+    "magic-count --loops 3 --dim 8 --v 1",
+    "ih-dim --loops 3 --dim 10 --v 1",
+    "magic-count --quiver toric1.json --dim 3,4 --v 1",
+    "magic-count --quiver cross.json --dim 3,3 --v 0",
+    "magic-count --quiver three.json --dim 2,2,2 --v 1",
+    "s-set --loops 3 --dim 13 --v 0",
+    "s-set --loops 3 --dim 12 --v 1",
+    "bps-dim --loops 3 --dim 12 --v 0 --builtin tripled-one-loop",
+]
+README_LINES = [
+    "magic-count --loops 3 --dim 2 --v 1",
+    "magic-count --quiver toric.json --dim 1,1 --v 1 --output json",
+    "magic-count --loops 5 --dim 4 --v 0 --fast-membership checked",
+    "s-set --loops 3 --dim 4 --v 0",
+    "ih-dim --loops 3 --dim 2 --v 1",
+    "bps-dim --loops 3 --dim 4 --v 0 --builtin tripled-one-loop --flavor mf",
+    "find-delta --loops 2 --dim 6 --output json",
+    "verify --report report.json",
+]
+FORM_LINES = [
+    "magic-count --loops=3 --dim=2 --v=1 --output=csv",
+    "magic-count --lo 3 --di 2 --v 1 --fa checked --th 2 --fo --out json",
+    "magic-count --lo=3 --di=2,2 --de=1/2,-1/2",
+    "magic-count --loops 3 --dim 2 --v -1",
+    "magic-count --loops 3 --dim 2 --v 1 --v 2",
+    "magic-count --loops 3 --loops 5 --dim 2 --delta=-1/2",
+    "find-delta --loops 3 --dim 4 --max-v -1",
+    "find-delta --loops 3 --dim 21 --force --output json",
+    "bps-dim --quiver q.json --dim 1,1 --v 0 --blocks t.json --fl preprojective",
+    "ih-dim --loops 3 --dim 2 --v 1 --output csv",
+    "verify --deep --quiet --output json",
+    "s-set --dim 3 --loops 3 --v 0 --force",
+    "magic-count --dim ' 2' --loops ' -1' --v ' 3'",
+]
+REJECTED_LINES = [
+    "magic-count --loops 3 --dim 2 --v 1 --delta 1/2",
+    "magic-count --loops 3 --dim 2 --delta -1/2",
+    "magic-count --loops 3 --v 1",
+    "magic-count --loops 3 --dim 2 --v",
+    "magic-count --loops 3 --dim --v 1",
+    "magic-count --loops x --dim 2 --v 1",
+    "magic-count --loops 3 --dim 2 --v 1 --output xml",
+    "verify --output csv",
+    "magic-count --loops 3 --dim 2 --v 1 stray",
+    "magic-count --loops 3 --dim 2 --v 1 --bogus 4",
+    "magic-count --loops 3 --dim 2 --f",
+    "magic-count --loops 3 --dim 2 --v 1 --force=yes",
+    "magic-count --loops 3 --dim 2 --v 1 --",
+    "ih-dim --loops 3 --dim 2 --delta 1/2",
+    "",
+    "transmogrify --loops 3",
+    "--bogus magic-count --loops 3 --dim 2 --v 1",
+]
+HELP_LINES = ["--help", "-h", "magic-count -h", "s-set --he", "verify --help --bogus"]
+
+
+def outcome(read, argv):
+    """(0, subcommand, option values) for an accepted line, else (exit code, last stderr line)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            name, args = read(list(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue().splitlines()[-1:]
+    return 0, name, {k: v for k, v in vars(args).items() if k != "command"}
+
+
+@pytest.mark.parametrize("line", BENCH_LINES + README_LINES + FORM_LINES + REJECTED_LINES
+                         + HELP_LINES)
+def test_parser_matches_argparse_reference(line):
+    argv = shlex.split(line)
+    read = outcome(cli._read, argv)
+    assert read == outcome(reference_read, argv)
+    accepted = line in BENCH_LINES + README_LINES + FORM_LINES + HELP_LINES
+    assert read[0] == (0 if accepted else 2)
+
+
+TOKENS = ["--loops", "--lo", "--dim", "--d", "--de", "--delta=1/2", "--v", "--v=-1", "--f",
+          "--fo", "--fast-membership", "--th", "--out=csv", "--output", "--output=xml", "--max",
+          "--flavor", "--bu", "--deep", "--quiet", "--force=1", "-h", "--he", "-hh", "-hx", "--",
+          "-", "", "3", "-1", "-1.5", "1,2", "1/2", "-1/2", "json", "mf", "x", "a b", "-x",
+          "--bogus", "--=x"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from([*cli._COMMANDS, "--bogus", "-h", "--", "x"]),
+       st.lists(st.sampled_from(TOKENS), max_size=8))
+def test_parser_matches_argparse_on_random_lines(first, rest):
+    argv = [first, *rest]
+    assert outcome(cli._read, argv) == outcome(reference_read, argv)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    s_set = ["s-set", "--loops", "3", "--dim", "20", "--v", "0", "--output"]
+    for argv in (s_set + ["table"], s_set + ["csv"], ["magic-count", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run([sys.executable, "-m", "quasibps.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 def test_unrecognized_option_reports_the_subcommand_usage(capsys):
@@ -153,11 +301,17 @@ def test_unrecognized_option_reports_the_subcommand_usage(capsys):
 
 
 def test_importing_the_cli_leaves_csv_unloaded():
+    # nor argparse, gettext or locale, whose cold imports cost more than a small count
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, quasibps.cli; print('csv' in sys.modules)"
+    code = ("import sys, quasibps.cli as cli\n"
+            "def loaded(): return [n for n in ('csv', 'argparse', 'gettext', 'locale')"
+            " if n in sys.modules]\n"
+            "print(loaded())\n"
+            "cli.main(['magic-count', '--loops', '3', '--dim', '2', '--v', '1'])\n"
+            "print(loaded())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out == "False\n"
+    assert out == "[]\nmagic_k0_dim  1\n[]\n"
 
 
 def test_unknown_subcommand_exits_two():
