@@ -30,7 +30,11 @@ of F - sum T followed by the caps F of the profiles still to come; under
 the key it carries the previous value and the block's prefix sum.  The
 last block has no later profiles and keeps no residual, so its states are
 keyed by its remaining caps and the total alone, and choices in the
-earlier blocks that leave the same caps merge.  Every bound is read from
+earlier blocks that leave the same caps merge.  Its final two slots are
+counted, not walked: the range of the second-to-last value x already keeps
+the last value, the block's sum less the values before, in [lo, x], so a
+state adds its ways times the length of that range once the block's sum
+fits the final cap.  Every bound is read from
 the one table of D H, D = 2 lcm of the denominators of delta:
 v = H(d) = <delta, d>, and every slot of block i lies in
 [v - F(d - e_i), F(e_i)], since the top slot alone is cut by F(e_i) and
@@ -66,13 +70,14 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
     n = total_dim(d)
     if n == 0:
         raise InputSchemaError("dimension vector is zero")
-    if n > COUNT_CUTOFF and not force:
-        raise CutoffExceededError(
-            f"total rank {n} above counting cutoff {COUNT_CUTOFF}; use force to override")
     if fast not in _FAST_MODES:
         raise InputSchemaError(f"unknown fast-membership mode {fast!r}")
     if not is_count(jobs) or jobs < 1:
         raise InputSchemaError(f"jobs must be a positive integer, got {jobs!r}")
+    delta._check_vertices(d)
+    if n > COUNT_CUTOFF and not force:
+        raise CutoffExceededError(
+            f"total rank {n} above counting cutoff {COUNT_CUTOFF}; use force to override")
 
     count = _window_count(q, d, delta)
     if fast == "checked":
@@ -119,7 +124,7 @@ def _window_count(q, d, delta) -> int:
     # one layer per slot: {(c, earlier blocks' total): {(last value, block prefix
     # sum): ways}}, c flat over (k, r), r a later profile: first the residual
     # min over the passed k of F - sum T, then the rows of F still to come
-    layer = {(tuple(cuts), 0): {(0, 0): 1}}
+    layer, total = {(tuple(cuts), 0): {(0, 0): 1}}, 0
     for i, (m, lo, hi) in enumerate(ranges):
         later = rest_lo[i + 1]
         w, sum_lo, sum_hi = len(later), v - rest_hi[i + 1], v - later[-1]
@@ -132,18 +137,28 @@ def _window_count(q, d, delta) -> int:
             # p slots below this one sum to at least p lo, and to at most p hi
             # and p times its value
             below_lo, below_hi = p * lo, p * hi
+            # the last block's final two slots are counted, not walked: at
+            # p = 1 the range keeps the last value short - x in [lo, x], so
+            # each x completes exactly when the block's sum fits the final
+            # cap; p = 0 is reached only when the last block has rank 1
+            last = not hw and p < 2
             nxt: dict = {}
             for (c, acc), group in layer.items():
                 head, row, rest = c[:hw], c[hw:hw + w], c[hw + w:]
                 cap = min(map(sub, row, later))
                 need_lo, need_hi = sum_lo - acc, sum_hi - acc  # bounds on T(m)
-                # with no residual every value keeps the key, and the last
-                # slot of the last block makes the total v
-                step = {} if hw else nxt.setdefault((rest, acc if p else v), {})
+                if last and p and need_lo > rest[0]:
+                    continue
+                # with no residual every value keeps the key
+                step = {} if hw or last else nxt.setdefault((rest, acc), {})
                 for (prev, s), ways in group.items():
                     short = need_lo - s
-                    for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
-                                   min(prev, cap - s, need_hi - s - below_lo) + 1):
+                    xs = range(max(lo, short - below_hi, -(-short // (p + 1))),
+                               min(prev, cap - s, need_hi - s - below_lo) + 1)
+                    if last:
+                        total += ways * len(xs)
+                        continue
+                    for x in xs:
                         step[x, s + x] = step.get((x, s + x), 0) + ways
                 if not hw:
                     continue
@@ -153,4 +168,4 @@ def _window_count(q, d, delta) -> int:
                     into = nxt.setdefault(key, {})
                     into[x, y] = into.get((x, y), 0) + ways
             layer = nxt
-    return sum(layer.get(((), v), {}).values())
+    return total

@@ -124,10 +124,14 @@ class CentralWeight(_Record):
             vals.append(parse_rational(tok))
         return cls(tuple(vals))
 
-    def expand(self, d) -> tuple[Fraction, ...]:
+    def _check_vertices(self, d) -> None:
+        """Refuse a dimension vector with another vertex count."""
         if len(self.values) != len(d):
             raise InputSchemaError(
                 f"central weight has {len(self.values)} vertices, dimension vector {len(d)}")
+
+    def expand(self, d) -> tuple[Fraction, ...]:
+        self._check_vertices(d)
         out = []
         for m, v in zip(d, self.values):
             out.extend([v] * m)
@@ -135,9 +139,7 @@ class CentralWeight(_Record):
 
     def total_pairing(self, d) -> Fraction:
         """Pairing with the diagonal cocharacter: sum of d[i] * values[i]."""
-        if len(self.values) != len(d):
-            raise InputSchemaError(
-                f"central weight has {len(self.values)} vertices, dimension vector {len(d)}")
+        self._check_vertices(d)
         return sum((Fraction(m) * v for m, v in zip(d, self.values)), Fraction(0))
 
     def __add__(self, other: "CentralWeight") -> "CentralWeight":
@@ -150,7 +152,7 @@ def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
     """D = 2 lcm of the denominators of delta, and D H(k) for each k of
     ``profiles``, a profile over the blocks ``verts``, which hold every
     nonzero block.  Refuses a central weight with another vertex count."""
-    delta.expand(d)
+    delta._check_vertices(d)
     scale = 2 * math.lcm(*(x.denominator for x in delta.values))
     sdelta = [x.numerator * (scale // x.denominator) for x in delta.values]
     out = []

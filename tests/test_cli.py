@@ -96,6 +96,12 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "symmetric" in err
     code, _, err = run(capsys, "magic-count", "--loops", "1", "--dim", "13", "--v", "0")
     assert code == 4 and "cutoff" in err
+    # a bad argument is reported before the rank is refused
+    code, _, err = run(capsys, "magic-count", "--loops", "1", "--dim", "13", "--v", "0",
+                       "--threads", "0")
+    assert code == 2 and "jobs" in err
+    code, _, err = run(capsys, "magic-count", "--loops", "1", "--dim", "13", "--delta", "1,2")
+    assert code == 2 and "vertices" in err
     # a file that is not UTF-8 or nests past the parser's limit: one error line
     for name, data in (("binary.json", b"\xff\xfe\x00bad"), ("deep.json", b"[" * 200_000)):
         path = tmp_path / name

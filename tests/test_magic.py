@@ -150,6 +150,17 @@ def test_count_cutoff_and_force():
     assert magic_dimension_v(loop_quiver(0), (1,), 5) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda: magic_dimension_v(loop_quiver(3), (13,), 1, fast="bogus"),
+    lambda: magic_dimension_v(loop_quiver(3), (13,), 1, jobs=0),
+    lambda: magic_dimension(TORIC[1], (7, 6), CentralWeight((1,))),
+], ids=["fast", "jobs", "delta-vertices"])
+def test_arguments_are_checked_before_the_rank_cutoff(call):
+    # a bad argument is an input error (exit 2) even when the rank is refused
+    with pytest.raises(InputSchemaError):
+        call()
+
+
 def test_forced_rank_17_count_without_generators_is_zero():
     assert magic_dimension_v(loop_quiver(0), (17,), 0, force=True) == 0
 
@@ -159,6 +170,14 @@ def test_forced_two_block_counts_above_the_cutoff():
     # admissible partitions gives the same integers
     assert magic_dimension_v(TORIC[1], (5, 5), 1, force=True) == 1_822_630
     assert magic_dimension_v(CROSS, (6, 6), 0, force=True) == 3_666_387
+
+
+def test_three_blocks_where_the_final_cap_binds():
+    # the last block's full sum is cut by its final cap row here; a walk that
+    # skips that test counts 1200 and 1873
+    q = Quiver(("0", "1", "2"), ((0, 2, 2), (2, 0, 2), (2, 2, 0)))
+    assert magic_dimension_v(q, (2, 2, 2), 0, fast="checked") == 1184
+    assert magic_dimension_v(q, (2, 2, 2), 3, fast="checked") == 1808
 
 
 def test_largest_block_is_counted_last(monkeypatch):
