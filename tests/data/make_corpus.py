@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,10 +112,8 @@ def main() -> int:
     rows = [row_for(*random_instance(rng)) for _ in range(ROWS)]
     body = ",\n".join(json.dumps(row, separators=(",", ":")) for row in rows)
     PATH.write_text(f'{{"seed": {SEED}, "rows": [\n{body}\n]}}\n')
-    routes = {}
-    for row in rows:
-        routes[row["second_route"]] = routes.get(row["second_route"], 0) + 1
-    print(f"wrote {len(rows)} rows to {PATH.name}; second routes {routes}")
+    routes = Counter(row["second_route"] for row in rows)
+    print(f"wrote {len(rows)} rows to {PATH.name}; second routes {dict(routes)}")
     return 0
 
 
