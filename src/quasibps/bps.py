@@ -22,7 +22,6 @@ dimensions over repeated parts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InputSchemaError, MissingBlockError
 from .partitions import admissible_partitions
@@ -38,8 +37,8 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
     if not is_int(v):
         raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
-    lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
-    hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
+    lo = -(-v // d) - 2 * g * (d - 1)
+    hi = v // d + 2 * g * (d - 1)
     step = 2 * g
 
     # count in reverse (last entry first) so the suffix-sum constraints become

@@ -30,12 +30,17 @@ of F - sum T followed by the caps F of the profiles still to come; under
 the key it carries the previous value and the block's prefix sum.  The
 last block has no later profiles and keeps no residual, so its states are
 keyed by its remaining caps and the total alone, and choices in the
-earlier blocks that leave the same caps merge.  Its final two slots are
-counted, not walked: the range of the second-to-last value x already keeps
-the last value, the block's sum less the values before, in [lo, x], so a
-state adds its ways times the length of that range once the block's sum
-fits the final cap.  Every bound is read from
-the one table of D H, D = 2 lcm of the denominators of delta:
+earlier blocks that leave the same caps merge.  Before each of its slots
+the current cap is folded into the previous value, u = min(prev, cap - s),
+so keys that differed only in that cap merge too, and x is walked
+downward per prefix sum with a running sum over u.  Its final three slots
+are counted, not walked: the values a >= b >= c left are at most u, at
+least lo and at least what the cap on the block's sum less its last value
+leaves, and they sum to what the block still needs, so a state adds its
+ways times a number of partitions into at most three parts in a box, a
+Gaussian-binomial coefficient in closed form (``_box3``).  A last block of
+rank at most 2 adds the length of its first slot's range.  Every bound is
+read from the one table of D H, D = 2 lcm of the denominators of delta:
 v = H(d) = <delta, d>, and every slot of block i lies in
 [v - F(d - e_i), F(e_i)], since the top slot alone is cut by F(e_i) and
 the other slots of the sum v by F(d - e_i).  No zonotope is built, no
@@ -121,51 +126,97 @@ def _window_count(q, d, delta) -> int:
         rest_lo.insert(0, [k * lo + r for k in range(m + 1) for r in rest_lo[0]])
         rest_hi.insert(0, m * hi + rest_hi[0])
 
-    # one layer per slot: {(c, earlier blocks' total): {(last value, block prefix
-    # sum): ways}}, c flat over (k, r), r a later profile: first the residual
-    # min over the passed k of F - sum T, then the rows of F still to come
-    layer, total = {(tuple(cuts), 0): {(0, 0): 1}}, 0
-    for i, (m, lo, hi) in enumerate(ranges):
+    # one layer per slot of the earlier blocks: {(c, earlier blocks' total):
+    # {(last value, block prefix sum): ways}}, c flat over (k, r), r a later
+    # profile: first the residual min over the passed k of F - sum T, then
+    # the rows of F still to come
+    layer = {(tuple(cuts), 0): {(0, 0): 1}}
+    for i, (m, lo, hi) in enumerate(ranges[:-1]):
         later = rest_lo[i + 1]
         w, sum_lo, sum_hi = len(later), v - rest_hi[i + 1], v - later[-1]
-        # the last block keeps no residual and drops its k = 0 row, which is
-        # >= 0 already: each earlier cap was checked at the zero later profile
-        hw = w if i + 1 < len(ranges) else 0
-        layer = {(c[w - hw:], acc): {(hi, 0): sum(group.values())}
-                 for (c, acc), group in layer.items()}
+        layer = {key: {(hi, 0): sum(group.values())} for key, group in layer.items()}
         for p in range(m - 1, -1, -1):
             # p slots below this one sum to at least p lo, and to at most p hi
             # and p times its value
             below_lo, below_hi = p * lo, p * hi
-            # the last block's final two slots are counted, not walked: at
-            # p = 1 the range keeps the last value short - x in [lo, x], so
-            # each x completes exactly when the block's sum fits the final
-            # cap; p = 0 is reached only when the last block has rank 1
-            last = not hw and p < 2
             nxt: dict = {}
             for (c, acc), group in layer.items():
-                head, row, rest = c[:hw], c[hw:hw + w], c[hw + w:]
+                head, row, rest = c[:w], c[w:2 * w], c[2 * w:]
                 cap = min(map(sub, row, later))
                 need_lo, need_hi = sum_lo - acc, sum_hi - acc  # bounds on T(m)
-                if last and p and need_lo > rest[0]:
-                    continue
-                # with no residual every value keeps the key
-                step = {} if hw or last else nxt.setdefault((rest, acc), {})
+                step: dict = {}
                 for (prev, s), ways in group.items():
                     short = need_lo - s
-                    xs = range(max(lo, short - below_hi, -(-short // (p + 1))),
-                               min(prev, cap - s, need_hi - s - below_lo) + 1)
-                    if last:
-                        total += ways * len(xs)
-                        continue
-                    for x in xs:
+                    for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
+                                   min(prev, cap - s, need_hi - s - below_lo) + 1):
                         step[x, s + x] = step.get((x, s + x), 0) + ways
-                if not hw:
-                    continue
                 for (x, y), ways in step.items():
                     key = (tuple([min(a, b - y) for a, b in zip(head, row)]) + rest,
                            acc if p else acc + y)
                     into = nxt.setdefault(key, {})
                     into[x, y] = into.get((x, y), 0) + ways
             layer = nxt
+
+    # the last block keeps no residual and drops its k = 0 row, which is 0:
+    # each earlier cap was checked at the zero later profile.  A state is
+    # keyed by the caps still to come, the current one first, and the
+    # earlier total, which fixes the block's sum need = v - acc; a key whose
+    # final cap is below need has no completion.  Under the key it carries
+    # {prefix sum: {last value: ways}}
+    m, lo, hi = ranges[-1]
+    layer = {(c[1:], acc): {0: {hi: sum(group.values())}}
+             for (c, acc), group in layer.items() if v - acc <= c[-1]}
+    for p in range(m - 1, 2, -1):
+        # fold the current cap into the last value, u = min(prev, cap - s),
+        # so that keys differing only in that cap merge
+        folded: dict = {}
+        for (c, acc), group in layer.items():
+            cap, into = c[0], folded.setdefault((c[1:], acc), {})
+            for s, prevs in group.items():
+                us = into.setdefault(s, {})
+                for prev, ways in prevs.items():
+                    u = min(prev, cap - s)
+                    us[u] = us.get(u, 0) + ways
+        # then walk x downward per prefix sum, with a running sum over u >= x
+        layer = {}
+        for key, group in folded.items():
+            need, into = v - key[1], {}
+            for s, us in group.items():
+                short = need - s
+                top = min(max(us), short - p * lo)
+                run = sum(ways for u, ways in us.items() if u > top)
+                for x in range(top, max(lo, short - p * hi, -(-short // (p + 1))) - 1, -1):
+                    run += us.get(x, 0)
+                    into.setdefault(s + x, {})[x] = run
+            if into:
+                layer[key] = into
+
+    # the final slots are counted, not walked.  At p = 2 the values
+    # a >= b >= c left sum to need - s, with a <= U = min(prev, cap - s) and
+    # c >= L = max(lo, need - c[1]), since the cap on the block's sum less its
+    # last value bounds that value below: the partitions of need - s - 3 L
+    # into at most three parts of at most U - L.  p <= 1 is reached only at
+    # the first slot of a last block of rank m <= 2, where the range of x
+    # keeps the last value need - x in [lo, x]
+    p, total = min(m - 1, 2), 0
+    for (c, acc), group in layer.items():
+        need = v - acc
+        if p < 2:
+            total += group[0][hi] * len(range(max(lo, need - p * hi, -(-need // m)),
+                                              min(hi, c[0], need - p * lo) + 1))
+            continue
+        low = max(lo, need - c[1])
+        for s, prevs in group.items():
+            for prev, ways in prevs.items():
+                total += ways * _box3(need - s - 3 * low, min(prev, c[0] - s) - low)
     return total
+
+
+def _box3(n: int, k: int) -> int:
+    """Partitions of n into at most three parts, each at most k: the
+    coefficient of q^n in the Gaussian binomial [k + 3, 3]_q."""
+    if n < 0 or n > 3 * k:
+        return 0
+    n = min(n, 3 * k - n)  # the coefficients are symmetric about 3k/2
+    # all partitions into at most three parts, less those with a part above k
+    return ((n + 3) ** 2 + 6) // 12 - max(n - k + 1, 0) ** 2 // 4

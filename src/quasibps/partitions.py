@@ -24,7 +24,8 @@ When <delta, d> is an integer, so is H(d), and E is symmetric, so H(e) and
 H(d - e) sum to the integer E(e, d - e) + <delta, d>: a part is admissible
 exactly when its complement is, and {d} is the whole admissible set exactly
 when d is the only admissible part.  The central-weight search decides on
-that and lists no partition.
+that and lists no partition; it evaluates E(e, d - e) once, and each
+candidate adds only its own D <delta, e>.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .quiver import (
     require_symmetric,
     total_dim,
 )
-from .weights import CentralWeight, _scaled_half_widths
+from .weights import CentralWeight, _scaled_central, _scaled_half_widths
 
 PARTITION_CUTOFF = 20  # total rank above which enumeration is refused
 NUM_BOUND, DEN_BOUND = 2, 3  # |numerators| and denominators of the search's corrections
@@ -199,7 +200,13 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
                  for v in vs for den in range(1, DEN_BOUND + 1)
                  for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
                  if any(nums) and sum(map(mul, d, nums)) == 0 and gcd(den, *nums) == 1)
+    # E(e, d - e) once per search: D H at the zero central weight, where
+    # D = 2.  A candidate adds only D <delta, e>, and d itself always passes
+    others = parts[1:]
+    _, widths = _scaled_half_widths(q, d, CentralWeight.zero(len(d)), range(len(d)), others)
     for delta in chain(map(spread, vs), corrected):
-        if _admissible_parts(q, d, delta, parts) == [d]:
+        scale, sdelta = _scaled_central(delta)
+        half = scale // 2
+        if all((half * w + sum(map(mul, e, sdelta))) % scale for e, w in zip(others, widths)):
             return delta
     return None

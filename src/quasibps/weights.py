@@ -18,7 +18,10 @@ with E(a, b) = a^T Q b - a.b.  The window's cut at the profile k is
 floor(H(k)) (``magic``), and a part e is admissible exactly when H(e) is an
 integer (``partitions``).  Both read D H, scaled by D = 2 lcm of the
 denominators of delta, from ``_scaled_half_widths``, which evaluates it on
-just the profiles it is given: the one code that evaluates H.
+just the profiles it is given: the one code that evaluates H.  The
+central-weight search reads E(e, d - e) from it once, at the zero weight,
+and adds each candidate's D <delta, e>, with D and D delta from
+``_scaled_central``.
 """
 
 from __future__ import annotations
@@ -153,8 +156,7 @@ def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
     ``profiles``, a profile over the blocks ``verts``, which hold every
     nonzero block.  Refuses a central weight with another vertex count."""
     delta._check_vertices(d)
-    scale = 2 * math.lcm(*(x.denominator for x in delta.values))
-    sdelta = [x.numerator * (scale // x.denominator) for x in delta.values]
+    scale, sdelta = _scaled_central(delta)
     out = []
     for k in profiles:
         h = 0
@@ -163,6 +165,12 @@ def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
             h += k[a] * (scale // 2 * cut + sdelta[i])
         out.append(h)
     return scale, out
+
+
+def _scaled_central(delta: CentralWeight):
+    """D = 2 lcm of the denominators of delta, and the integers D delta_i."""
+    scale = 2 * math.lcm(*(x.denominator for x in delta.values))
+    return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -180,6 +180,26 @@ def test_three_blocks_where_the_final_cap_binds():
     assert magic_dimension_v(q, (2, 2, 2), 3, fast="checked") == 1808
 
 
+def test_last_blocks_of_rank_three_and_four():
+    # the last block's final three slots are counted as partitions in a box:
+    # a rank-3 last block at its first slot, a rank-4 one after one walked
+    # slot; bench/pin.py confirms the last two by the flow DFS
+    assert magic_dimension_v(CROSS, (3, 3), 0, fast="checked") == 325
+    assert magic_dimension_v(TORIC[1], (3, 4), 1) == 5_005
+    assert magic_dimension_v(loop_quiver(3), (8,), 1) == 3_828
+
+
+def test_box3_counts_partitions_in_a_box():
+    for k in range(26):
+        want = [0] * (3 * k + 1)
+        for a in range(k + 1):
+            for b in range(a + 1):
+                for c in range(b + 1):
+                    want[a + b + c] += 1
+        for n in range(-3, 3 * k + 4):
+            assert magic._box3(n, k) == (want[n] if 0 <= n <= 3 * k else 0), (n, k)
+
+
 def test_largest_block_is_counted_last(monkeypatch):
     # blocks are walked in ascending order of rank, so the largest carries no
     # residual; largest first, all-twos d=(1,4,6) takes about 4.5x as long

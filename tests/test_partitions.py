@@ -287,6 +287,28 @@ def test_find_central_weight_two_vertices():
     assert find_central_weight(CROSS, (1, 1)) == CentralWeight.spread((1, 1), 1)
 
 
+def test_find_central_weight_builds_one_table(monkeypatch):
+    # E(e, d - e) is evaluated once per search; each candidate weight only
+    # rescales its own pairing.  toric g=1 at d=(3,3) rejects v = 0 and 1
+    # and accepts v = 2
+    half_widths, scaled_central = partitions._scaled_half_widths, partitions._scaled_central
+    tables, candidates = [], []
+
+    def record_table(*args):
+        tables.append(args[2])
+        return half_widths(*args)
+
+    def record_candidate(delta):
+        candidates.append(delta)
+        return scaled_central(delta)
+
+    monkeypatch.setattr(partitions, "_scaled_half_widths", record_table)
+    monkeypatch.setattr(partitions, "_scaled_central", record_candidate)
+    assert find_central_weight(TORIC1, (3, 3)) == CentralWeight.spread((3, 3), 2)
+    assert tables == [CentralWeight.zero(2)]
+    assert candidates == [CentralWeight.spread((3, 3), v) for v in range(3)]
+
+
 def test_find_central_weight_exhausted():
     assert find_central_weight(loop_quiver(3), (4,), max_v=0) is None
 
