@@ -4,8 +4,8 @@ Everything is computed in exact rational arithmetic; no predicate in the
 package ever touches floating point.
 
 The names from ``oracle``, ``verify`` and ``zonotope`` (the reference
-routes, the self-checks and the weight zonotope) are imported on first use,
-so a command that needs none of them does not load them.
+routes, the self-checks and the weight zonotope ``Zonotope(dim, arcs)``)
+load on first use, so a command that needs none of them does not load them.
 """
 
 from .bps import (

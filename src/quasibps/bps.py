@@ -191,8 +191,9 @@ def bps_assembly_dim(q: Quiver, d, delta: CentralWeight, table: BlockDimTable, *
 
     Each admissible partition contributes the product, over its distinct
     parts, of the symmetric-power dimension of the part's block in the part's
-    multiplicity.  Homological shifts move gradings around but never change
-    this total, so they are not tracked.
+    multiplicity.  Every block is treated as even: an odd block would take an
+    exterior power instead (ROADMAP item 4), so with odd blocks this total
+    can exceed the window count.
     """
     d = check_dim_vector(q, d)
     for p, _ in table.dims:

@@ -118,7 +118,7 @@ def cmd_s_set(args) -> int:
 
 
 def cmd_ih_dim(args) -> int:
-    if args.loops is None or args.loops % 2 == 0:
+    if args.loops is None or args.loops < 0 or args.loops % 2 == 0:
         raise InputSchemaError("ih-dim needs --loops 2g+1 (an odd loop count)")
     d = _parse_dim(args.dim)
     if len(d) != 1:

@@ -5,9 +5,9 @@ with the primary implementations: weight lists are materialized element by
 element, admissibility walks every distinct permutation of the parts
 (through blockwise half-sums or over explicit cocharacter grids) instead of
 testing each part once, and window counts decide each candidate by flow
-membership, either scanning the entire bounding box with no structural
-pruning or walking the dominant candidates of the right coordinate sum.
-Use on small instances only.
+membership in ``Zonotope(dim, arcs)``, the weight multiset's integer arcs,
+scanning the whole bounding box with no structural pruning or walking the
+dominant candidates of the right coordinate sum.  Small instances only.
 """
 
 from __future__ import annotations

@@ -350,6 +350,10 @@ def test_ih_dim(capsys):
     assert run(capsys, "ih-dim", "--loops", "2", "--dim", "2", "--v", "1")[0] == 2
     assert run(capsys, "ih-dim", "--loops", "3", "--dim", "2,2", "--v", "1")[0] == 2
     assert run(capsys, "ih-dim", "--loops", "3", "--dim", "2")[0] == 2
+    for loops in ("-1", "-2", "-3"):
+        code, out, err = run(capsys, "ih-dim", "--loops", loops, "--dim", "2", "--v", "1")
+        assert (code, out) == (2, "")
+        assert "ih-dim needs --loops 2g+1 (an odd loop count)" in err
 
 
 def test_ih_dim_high_rank_returns(capsys):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -95,3 +96,17 @@ def test_unknown_package_name_raises():
         quasibps.no_such_name
     with pytest.raises(ImportError):
         exec("from quasibps import no_such_name", {})
+
+
+def test_no_module_level_cache():
+    """No function in the package is memoized by ``functools.lru_cache`` or
+    ``functools.cache``: a count is a function of its arguments alone."""
+    found = []
+    for path in sorted((ROOT / "src" / "quasibps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{dec.lineno}")
+    assert found == []

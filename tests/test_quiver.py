@@ -182,8 +182,7 @@ RECORDS = [
     (VectorPartition(((1,), (2,))), "VectorPartition(parts=((2,), (1,)))"),
     (BlockDimTable((), default_dim=1),
      "BlockDimTable(dims=(), monodromy='trivial', default_dim=1, invariant_dim=None)"),
-    (Zonotope(dim=2, generators=(((1, -1), Fraction(1, 2)),)),
-     "Zonotope(dim=2, generators=(((1, -1), Fraction(1, 2)),))"),
+    (Zonotope(dim=2, arcs=((1, 0, 1),)), "Zonotope(dim=2, arcs=((1, 0, 1),))"),
     (CheckResult("a", "anchor", "1", "2", False, 3),
      "CheckResult(name='a', anchor='anchor', expected='1', computed='2', passed=False, ms=3)"),
 ]
