@@ -16,6 +16,7 @@ from .bps import (
     builtin_block_table,
     ktheory_dim_from_bps,
     load_block_table,
+    loop_count,
     partition_count,
     score_sequence_count,
     sym_power_dim,

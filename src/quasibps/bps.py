@@ -1,8 +1,22 @@
-"""Score-sequence counts, block dimension tables, and BPS assembly.
+"""One-vertex counts, block dimension tables, and BPS assembly.
 
-The score-sequence count is the independent route to the one-vertex window
-counts: for a quiver with 2g+1 loops, rank d and weight v it enumerates the
-integer tuples (c_1, ..., c_d) with
+``loop_count`` is the one-vertex window count of the 2g+1 loop quiver at
+rank d and weight v in closed form, the BPS side of the paper's theorem, and
+what ``ih-dim`` prints.  With k = gcd(d, v) (k = d for v = 0) the admissible
+parts are the multiples of d/k and chi(e, e) = -2g e^2 is even, so every
+factor is a plain symmetric power:
+
+    count = [t^k] prod_{j=1..k} (1 - t^j)^(-Omega_{j d/k}),
+    Omega_e = e^-2 sum_{r | e} mu(e/r) C((2g+1) r - 1, r - 1)
+
+with Omega Reineke's DT invariant of the m-loop quiver, whose sign
+(-1)^((m-1)(e-r)) is +1 for odd m.  The product is truncated at t^k and
+costs about k^2 log k exact products, so v = 0 is the worst case; the
+binomials add a cost that grows about as d^2.
+
+The score-sequence count is the independent route to the same numbers,
+kept as the cross-check: for 2g+1 loops, rank d and weight v it enumerates
+the integer tuples (c_1, ..., c_d) with
 
 * c_i - c_{i-1} + 2g >= 0 for 2 <= i <= d,
 * sum of the last k entries at most v*k/d for k = 1..d,
@@ -64,6 +78,49 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
                 nxt.setdefault(acc + b, {})[b] = run
         layer = nxt
     return sum(layer.get(v, {}).values())
+
+
+def _mobius(n: int) -> int:
+    """Möbius function of a positive integer, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def loop_count(g: int, d: int, v: int) -> int:
+    """``score_sequence_count(g, d, v)`` from the DT invariants of the m = 2g+1 loop quiver."""
+    if not is_count(g):
+        raise InputSchemaError(f"loop parameter g must be a nonnegative integer, got {g!r}")
+    if not is_count(d) or d < 1:
+        raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
+    if not is_int(v):
+        raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
+    m, k = 2 * g + 1, math.gcd(d, v)
+    series = [1] + [0] * k  # the product so far, truncated at t^k
+    for j in range(1, k + 1):
+        e = j * (d // k)
+        total = 0  # e^2 Omega_e = sum over r | e of mu(e/r) C(m r - 1, r - 1)
+        for r in range(1, math.isqrt(e) + 1):
+            if e % r == 0:
+                for s in {r, e // r}:
+                    total += _mobius(e // s) * math.comb(m * s - 1, s - 1)
+        omega, rem = divmod(total, e * e)
+        assert rem == 0, f"DT invariant at e = {e} is not an integer"
+        if omega == 0:
+            continue
+        # times (1 - t^j)^(-omega): t^(j r) has coefficient C(omega + r - 1, r)
+        coeffs = [1]
+        for r in range(1, k // j + 1):
+            coeffs.append(coeffs[-1] * (omega + r - 1) // r)
+        for n in range(k, j - 1, -1):
+            series[n] += sum(coeffs[r] * series[n - j * r] for r in range(1, n // j + 1))
+    return series[k]
 
 
 def partition_count(n: int) -> int:

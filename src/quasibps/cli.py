@@ -31,7 +31,7 @@ from .bps import (
     builtin_block_table,
     ktheory_dim_from_bps,
     load_block_table,
-    score_sequence_count,
+    loop_count,
 )
 from .errors import (
     AsymmetricQuiverError,
@@ -126,7 +126,7 @@ def cmd_ih_dim(args) -> int:
     if args.v is None:
         raise InputSchemaError("ih-dim needs --v")
     g = (args.loops - 1) // 2
-    _emit({"ih_dim": score_sequence_count(g, d[0], args.v)}, args.output)
+    _emit({"ih_dim": loop_count(g, d[0], args.v)}, args.output)
     return 0
 
 
@@ -227,7 +227,7 @@ _COMMANDS = {
                         _FORCE, _OUTPUT)),
     "s-set": ("admissible partitions of the dimension vector", cmd_s_set,
               _QUIVER + _WEIGHT + (_FORCE, _OUTPUT)),
-    "ih-dim": ("score-sequence count for an odd loop quiver", cmd_ih_dim,
+    "ih-dim": ("one-vertex count for an odd loop quiver, in closed form", cmd_ih_dim,
                _QUIVER[1:] + (("--v", "V", int, None, "integer weight parameter"), _OUTPUT)),
     "bps-dim": ("assembled BPS dimension over admissible partitions", cmd_bps_dim,
                 _QUIVER + _WEIGHT + (

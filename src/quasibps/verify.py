@@ -20,6 +20,7 @@ from .bps import (
     bps_assembly_dim,
     builtin_block_table,
     ktheory_dim_from_bps,
+    loop_count,
     partition_count,
     score_sequence_count,
 )
@@ -122,18 +123,19 @@ def _loop_sweep():
 
 
 def check_score_route_agreement():
-    """Window counts equal score-sequence counts on the odd-loop sweep and ranks 8 to 16."""
+    """Closed-form, score-sequence and window counts agree on the odd-loop sweep
+    and ranks 8 to 16."""
     counts = _loop_sweep()
     for g, ranks in ((1, (8, 10, 12, 14, 16)), (2, (8, 10, 12))):
         for d in ranks:
             for v in (0, 1, d // 2):
                 counts[(g, d, v)] = magic_dimension_v(loop_quiver(2 * g + 1), (d,), v, force=True)
     fails = []
-    for (g, d, v), got in counts.items():
-        want = score_sequence_count(g, d, v)
-        if got != want:
-            fails.append((g, d, v, want, got))
-    return (f"two independent routes agree ({len(counts)} cases)",
+    for (g, d, v), window in counts.items():
+        closed, walk = loop_count(g, d, v), score_sequence_count(g, d, v)
+        if not closed == walk == window:
+            fails.append((g, d, v, closed, walk, window))
+    return (f"closed form, score walk and window count agree ({len(counts)} cases)",
             _fails_summary(fails), not fails)
 
 
@@ -399,7 +401,7 @@ CHECKS = [
     ("toric-window-counts", "toric family parity count", check_toric_window_counts),
     ("odd-loop-rank-two", "odd-loop rank-2 window count", check_odd_loop_rank_two),
     ("one-loop-divisibility", "single-loop divisibility count", check_one_loop_divisibility),
-    ("score-route-agreement", "score-sequence route agreement", check_score_route_agreement),
+    ("score-route-agreement", "one-vertex route agreement", check_score_route_agreement),
     ("gcd-invariance", "gcd invariance of counts", check_gcd_invariance),
     ("closed-form-sets", "closed-form admissible sets", check_closed_form_sets),
     ("admissibility-routes", "admissibility route agreement", check_admissibility_routes),

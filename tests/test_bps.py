@@ -15,6 +15,7 @@ from quasibps.bps import (
     builtin_block_table,
     ktheory_dim_from_bps,
     load_block_table,
+    loop_count,
     partition_count,
     score_sequence_count,
     sym_power_dim,
@@ -106,6 +107,47 @@ def test_score_sequence_input_errors():
         score_sequence_count(1, 3, 0.5)
     with pytest.raises(InputSchemaError):
         score_sequence_count(1, 3, True)
+
+
+@st.composite
+def loop_cases(draw):
+    g = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 12))
+    return g, d, draw(st.integers(-3, 2 * d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(loop_cases())
+def test_loop_count_matches_score_walk(case):
+    assert loop_count(*case) == score_sequence_count(*case)
+
+
+def test_loop_count_pinned_large_ranks():
+    assert loop_count(1, 16, 1) == 2_936_000_232
+    assert loop_count(1, 24, 1) == 4_600_845_868_539_708
+
+
+def test_loop_count_at_coprime_weight_is_the_dt_invariant():
+    # k = gcd(d, v) = 1 leaves the single factor t^1, whose coefficient is
+    # Omega_d; for the 3-loop quiver these are Reineke's 1, 1, 3, 10, 40, 171, 791
+    assert [loop_count(1, e, 1) for e in range(1, 8)] == [1, 1, 3, 10, 40, 171, 791]
+    assert [loop_count(0, e, 1) for e in range(1, 6)] == [1, 0, 0, 0, 0]
+
+
+def test_loop_count_depends_on_gcd_of_rank_and_weight():
+    for v in (0, 6, 12, -6):
+        assert loop_count(1, 6, v) == score_sequence_count(1, 6, v) == loop_count(1, 6, 0)
+    assert loop_count(1, 6, 2) == loop_count(1, 6, 4) == loop_count(1, 6, -2)
+
+
+@pytest.mark.parametrize("args", [(-1, 2, 0), (1, 0, 0), (True, 3, 1), (1, True, 1),
+                                  (1, 3, 0.5), (1, 3, True), (1.0, 3, 1), (1, -2, 1)])
+def test_loop_count_refuses_what_the_walk_refuses(args):
+    with pytest.raises(InputSchemaError) as walk:
+        score_sequence_count(*args)
+    with pytest.raises(InputSchemaError) as closed:
+        loop_count(*args)
+    assert str(closed.value) == str(walk.value)
 
 
 def test_partition_count_values():

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasibps.cli as cli
-from quasibps import oracle, verify
+from quasibps import bps, oracle, verify
 from quasibps.verify import CheckResult
 
 TORIC1 = {"vertices": ["0", "1"], "arrows": [[1, 3], [3, 1]]}
@@ -364,6 +365,38 @@ def test_ih_dim_high_rank_returns(capsys):
         assert code == 0
         assert out.split() == ["ih_dim", want]
         assert "Traceback" not in err
+
+
+IH_DIM_LINES = [line for line in BENCH_LINES + README_LINES + FORM_LINES
+                if line.startswith("ih-dim")] + [
+    "ih-dim --loops 1 --dim 6 --v 0", "ih-dim --loops 5 --dim 6 --v 4 --output json",
+    "ih-dim --loops 3 --dim 8 --v -2"]
+
+
+def test_ih_dim_prints_the_walk_count_without_calling_the_walk(monkeypatch, capsys):
+    want = {}
+    for line in IH_DIM_LINES:
+        args = cli._read(shlex.split(line))[1]
+        cli._emit({"ih_dim": bps.score_sequence_count((args.loops - 1) // 2, int(args.dim),
+                                                       args.v)}, args.output)
+        want[line] = capsys.readouterr().out
+
+    def walk(*args):
+        raise AssertionError("ih-dim called the score walk")
+
+    monkeypatch.setattr(bps, "score_sequence_count", walk)
+    monkeypatch.setattr(cli, "score_sequence_count", walk, raising=False)
+    for line in IH_DIM_LINES:
+        assert run(capsys, *shlex.split(line)) == (0, want[line], "")
+
+
+def test_ih_dim_at_rank_200_weight_zero_returns_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ih-dim", "--loops", "3", "--dim", "200", "--v", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    key, value = out.split()
+    assert key == "ih_dim" and int(value) > 0
 
 
 def test_bps_dim_builtin(capsys):

@@ -17,6 +17,7 @@ from quasibps import (
     Quiver,
     admissible_partitions,
     find_central_weight,
+    loop_count,
     magic_dimension,
     score_sequence_count,
 )
@@ -60,4 +61,24 @@ def test_corpus_rows_recompute_exactly(start):
         want = {key: row[key] for key in got}
         if got != want:
             mismatches.append((n, want, got))
+    assert not mismatches, f"{len(mismatches)} rows differ, first {mismatches[:3]}"
+
+
+def test_closed_form_matches_the_one_vertex_odd_loop_rows():
+    """Every one-vertex row with an odd loop count and an integral <delta, d>
+    is a `loop_count` instance; its recorded count is the closed form's."""
+    mismatches, seen = [], 0
+    for n, row in enumerate(ROWS):
+        loops = row["arrows"][0][0]
+        if len(row["d"]) != 1 or loops % 2 == 0:
+            continue
+        _, d, delta = _instance(row)
+        v = delta.total_pairing(d)
+        if v.denominator != 1:
+            continue
+        seen += 1
+        got = loop_count(loops // 2, d[0], int(v))
+        if got != row["count"]:
+            mismatches.append((n, row["count"], got))
+    assert seen == 234
     assert not mismatches, f"{len(mismatches)} rows differ, first {mismatches[:3]}"

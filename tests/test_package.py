@@ -11,11 +11,11 @@ import pytest
 
 import quasibps
 
-# every name the package re-exported eagerly before the lazy layer, by home module
+# every name the package re-exports, eagerly or lazily, by home module
 EXPORTS = {
     "bps": ["BlockDimTable", "block_table_from_dict", "block_table_to_dict", "bps_assembly_dim",
             "builtin_block_table", "ktheory_dim_from_bps", "load_block_table",
-            "partition_count", "score_sequence_count", "sym_power_dim"],
+            "loop_count", "partition_count", "score_sequence_count", "sym_power_dim"],
     "errors": ["AsymmetricQuiverError", "CutoffExceededError", "InputSchemaError",
                "MissingBlockError", "RouteDisagreementError"],
     "magic": ["magic_dimension", "magic_dimension_v"],
