@@ -27,7 +27,8 @@ and inside a block the top slot first.  A state is keyed by what the rest
 of the walk can still see: the total of the earlier blocks and, for each
 profile r of the later blocks, the residual min over the passed profiles
 of F - sum T followed by the caps F of the profiles still to come; under
-the key it carries the previous value and the block's prefix sum.  The
+the key it carries the previous value and the block's prefix sum; at a
+block's last slot that sum joins the total and only the ways stay.  The
 last block has no later profiles and keeps no residual, so its states are
 keyed by its remaining caps and the total alone, and choices in the
 earlier blocks that leave the same caps merge.  Before each of its slots
@@ -128,13 +129,16 @@ def _window_count(q, d, delta) -> int:
 
     # one layer per slot of the earlier blocks: {(c, earlier blocks' total):
     # {(last value, block prefix sum): ways}}, c flat over (k, r), r a later
-    # profile: first the residual min over the passed k of F - sum T, then
-    # the rows of F still to come
-    layer = {(tuple(cuts), 0): {(0, 0): 1}}
+    # profile: first the residual min over the passed k of F - sum T (its
+    # entry at the zero later profile is 0, carried but never read, and the
+    # last block drops it), then the rows of F still to come.  At a block's
+    # last slot the prefix sum joins the total and only the ways are kept,
+    # since the next block starts from prev = hi and s = 0
+    layer = {(tuple(cuts), 0): 1}
     for i, (m, lo, hi) in enumerate(ranges[:-1]):
         later = rest_lo[i + 1]
         w, sum_lo, sum_hi = len(later), v - rest_hi[i + 1], v - later[-1]
-        layer = {key: {(hi, 0): sum(group.values())} for key, group in layer.items()}
+        layer = {key: {(hi, 0): ways} for key, ways in layer.items()}
         for p in range(m - 1, -1, -1):
             # p slots below this one sum to at least p lo, and to at most p hi
             # and p times its value
@@ -149,12 +153,19 @@ def _window_count(q, d, delta) -> int:
                     short = need_lo - s
                     for x in range(max(lo, short - below_hi, -(-short // (p + 1))),
                                    min(prev, cap - s, need_hi - s - below_lo) + 1):
-                        step[x, s + x] = step.get((x, s + x), 0) + ways
-                for (x, y), ways in step.items():
-                    key = (tuple([min(a, b - y) for a, b in zip(head, row)]) + rest,
+                        xy = (x, s + x) if p else s + x
+                        step[xy] = step.get(xy, 0) + ways
+                for xy, ways in step.items():
+                    y = xy[1] if p else xy
+                    key = (tuple([a if a < (t := b - y) else t
+                                  for a, b in zip(head, row)]) + rest,
                            acc if p else acc + y)
-                    into = nxt.setdefault(key, {})
-                    into[x, y] = into.get((x, y), 0) + ways
+                    if not p:
+                        nxt[key] = nxt.get(key, 0) + ways
+                    elif (into := nxt.get(key)) is None:
+                        nxt[key] = {xy: ways}
+                    else:
+                        into[xy] = into.get(xy, 0) + ways
             layer = nxt
 
     # the last block keeps no residual and drops its k = 0 row, which is 0:
@@ -164,8 +175,8 @@ def _window_count(q, d, delta) -> int:
     # final cap is below need has no completion.  Under the key it carries
     # {prefix sum: {last value: ways}}
     m, lo, hi = ranges[-1]
-    layer = {(c[1:], acc): {0: {hi: sum(group.values())}}
-             for (c, acc), group in layer.items() if v - acc <= c[-1]}
+    layer = {(c[1:], acc): {0: {hi: ways}}
+             for (c, acc), ways in layer.items() if v - acc <= c[-1]}
     for p in range(m - 1, 2, -1):
         # fold the current cap into the last value, u = min(prev, cap - s),
         # so that keys differing only in that cap merge
@@ -173,9 +184,9 @@ def _window_count(q, d, delta) -> int:
         for (c, acc), group in layer.items():
             cap, into = c[0], folded.setdefault((c[1:], acc), {})
             for s, prevs in group.items():
-                us = into.setdefault(s, {})
+                us, t = into.setdefault(s, {}), cap - s
                 for prev, ways in prevs.items():
-                    u = min(prev, cap - s)
+                    u = prev if prev < t else t
                     us[u] = us.get(u, 0) + ways
         # then walk x downward per prefix sum, with a running sum over u >= x
         layer = {}

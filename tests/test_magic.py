@@ -30,6 +30,7 @@ from quasibps.zonotope import bounding_box, contains, weight_zonotope
 
 TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(3)}
 CROSS = Quiver(("a", "b"), ((1, 2), (2, 1)))
+ALL_ONES_3 = Quiver(("0", "1", "2"), ((1,) * 3,) * 3)
 ALL_ONES_4 = Quiver(("0", "1", "2", "3"), ((1,) * 4,) * 4)
 
 
@@ -83,8 +84,10 @@ def test_shift_and_duality_invariance():
 
 
 def test_fast_modes_agree():
+    # (2, 2, 3) is the case where a rank-2 earlier block's block-end state
+    # seeds another rank-2 earlier block
     for q, d in [(loop_quiver(3), (3,)), (TORIC[1], (1, 1)), (CROSS, (2, 1)),
-                 (ALL_ONES_4, (1, 1, 2, 2))]:
+                 (ALL_ONES_4, (1, 1, 2, 2)), (ALL_ONES_3, (2, 2, 3))]:
         for v in range(0, 3):
             on = magic_dimension_v(q, d, v, fast="on")
             off = magic_dimension_v(q, d, v, fast="off")
