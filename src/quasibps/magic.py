@@ -25,8 +25,9 @@ The count is one layered walk over every slot: the nonzero blocks in
 ascending order of d_i, ties in vertex order, so the largest comes last,
 and inside a block the top slot first.  A state is keyed by what the rest
 of the walk can still see: the total of the earlier blocks and, for each
-profile r of the later blocks, the residual min over the passed profiles
-of F - sum T followed by the caps F of the profiles still to come; under
+nonzero profile r of the later blocks, the residual min over the passed
+profiles of F - sum T followed by the caps F of the profiles still to come
+(at r = 0 the residual is F(0) = 0 and stays 0, so it is not kept); under
 the key it carries the previous value and the block's prefix sum; at a
 block's last slot that sum joins the total and only the ways stay.  The
 last block has no later profiles and keeps no residual, so its states are
@@ -40,9 +41,10 @@ least lo and at least what the cap on the block's sum less its last value
 leaves, and they sum to what the block still needs, so a state adds its
 ways times a number of partitions into at most three parts in a box, a
 Gaussian-binomial coefficient in closed form (``_box3``).  A last block of
-rank at most 2 adds the length of its first slot's range.  Every bound is
-read from the one table of D H, D = 2 lcm of the denominators of delta:
-v = H(d) = <delta, d>, and every slot of block i lies in
+rank at most 2 is counted straight off the earlier blocks' layer: each
+state adds its ways times the length of its first slot's range.  Every
+bound is read from the one table of D H, D = 2 lcm of the denominators of
+delta: v = H(d) = <delta, d>, and every slot of block i lies in
 [v - F(d - e_i), F(e_i)], since the top slot alone is cut by F(e_i) and
 the other slots of the sum v by F(d - e_i).  No zonotope is built, no
 membership test runs and no process starts.
@@ -129,15 +131,15 @@ def _window_count(q, d, delta) -> int:
 
     # one layer per slot of the earlier blocks: {(c, earlier blocks' total):
     # {(last value, block prefix sum): ways}}, c flat over (k, r), r a later
-    # profile: first the residual min over the passed k of F - sum T (its
-    # entry at the zero later profile is 0, carried but never read, and the
-    # last block drops it), then the rows of F still to come.  At a block's
-    # last slot the prefix sum joins the total and only the ways are kept,
-    # since the next block starts from prev = hi and s = 0
-    layer = {(tuple(cuts), 0): 1}
+    # profile: first the residual min over the passed k of F - sum T at every
+    # r but the zero profile, where it is F(0) = 0 and stays 0 (every cap
+    # keeps F - sum T >= 0 there), then the rows of F still to come.  At a
+    # block's last slot the prefix sum joins the total and only the ways are
+    # kept, since the next block starts from prev = hi and s = 0
+    layer = {(tuple(cuts[1:]), 0): 1}
     for i, (m, lo, hi) in enumerate(ranges[:-1]):
         later = rest_lo[i + 1]
-        w, sum_lo, sum_hi = len(later), v - rest_hi[i + 1], v - later[-1]
+        w, sum_lo, sum_hi = len(later) - 1, v - rest_hi[i + 1], v - later[-1]
         layer = {key: {(hi, 0): ways} for key, ways in layer.items()}
         for p in range(m - 1, -1, -1):
             # p slots below this one sum to at least p lo, and to at most p hi
@@ -145,8 +147,8 @@ def _window_count(q, d, delta) -> int:
             below_lo, below_hi = p * lo, p * hi
             nxt: dict = {}
             for (c, acc), group in layer.items():
-                head, row, rest = c[:w], c[w:2 * w], c[2 * w:]
-                cap = min(map(sub, row, later))
+                head, row, rest = c[:w], c[w:2 * w + 1], c[2 * w + 1:]
+                cap, row = min(map(sub, row, later)), row[1:]
                 need_lo, need_hi = sum_lo - acc, sum_hi - acc  # bounds on T(m)
                 step: dict = {}
                 for (prev, s), ways in group.items():
@@ -168,15 +170,19 @@ def _window_count(q, d, delta) -> int:
                         into[xy] = into.get(xy, 0) + ways
             layer = nxt
 
-    # the last block keeps no residual and drops its k = 0 row, which is 0:
-    # each earlier cap was checked at the zero later profile.  A state is
-    # keyed by the caps still to come, the current one first, and the
-    # earlier total, which fixes the block's sum need = v - acc; a key whose
-    # final cap is below need has no completion.  Under the key it carries
-    # {prefix sum: {last value: ways}}
+    # the last block has no later profiles, so the key's caps are the
+    # residuals at its profiles k = 1..m, the current one first; the earlier
+    # total fixes the block's sum need = v - acc, and a key whose final cap
+    # is below need has no completion.  A block of rank m <= 2 is counted
+    # off this flat layer: its first slot x has cap c[0], and the last value
+    # need - x lies in [lo, x]
     m, lo, hi = ranges[-1]
-    layer = {(c[1:], acc): {0: {hi: ways}}
-             for (c, acc), ways in layer.items() if v - acc <= c[-1]}
+    if m < 3:
+        return sum(ways * len(range(max(lo, need - (m - 1) * hi, -(-need // m)),
+                                    min(hi, c[0], need - (m - 1) * lo) + 1))
+                   for (c, acc), ways in layer.items() if (need := v - acc) <= c[-1])
+    # otherwise each state carries {prefix sum: {last value: ways}}
+    layer = {key: {0: {hi: ways}} for key, ways in layer.items() if v - key[1] <= key[0][-1]}
     for p in range(m - 1, 2, -1):
         # fold the current cap into the last value, u = min(prev, cap - s),
         # so that keys differing only in that cap merge
@@ -202,20 +208,14 @@ def _window_count(q, d, delta) -> int:
             if into:
                 layer[key] = into
 
-    # the final slots are counted, not walked.  At p = 2 the values
-    # a >= b >= c left sum to need - s, with a <= U = min(prev, cap - s) and
+    # the final three slots are counted, not walked.  The values a >= b >= c
+    # left sum to need - s, with a <= U = min(prev, cap - s) and
     # c >= L = max(lo, need - c[1]), since the cap on the block's sum less its
     # last value bounds that value below: the partitions of need - s - 3 L
-    # into at most three parts of at most U - L.  p <= 1 is reached only at
-    # the first slot of a last block of rank m <= 2, where the range of x
-    # keeps the last value need - x in [lo, x]
-    p, total = min(m - 1, 2), 0
+    # into at most three parts of at most U - L
+    total = 0
     for (c, acc), group in layer.items():
         need = v - acc
-        if p < 2:
-            total += group[0][hi] * len(range(max(lo, need - p * hi, -(-need // m)),
-                                              min(hi, c[0], need - p * lo) + 1))
-            continue
         low = max(lo, need - c[1])
         for s, prevs in group.items():
             for prev, ways in prevs.items():

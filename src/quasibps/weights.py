@@ -18,16 +18,23 @@ with E(a, b) = a^T Q b - a.b.  The window's cut at the profile k is
 floor(H(k)) (``magic``), and a part e is admissible exactly when H(e) is an
 integer (``partitions``).  Both read D H, scaled by D = 2 lcm of the
 denominators of delta, from ``_scaled_half_widths``, which evaluates it on
-just the profiles it is given: the one code that evaluates H.  The
-central-weight search reads E(e, d - e) from it once, at the zero weight,
-and adds each candidate's D <delta, e>, with D and D delta from
-``_scaled_central``.
+just the profiles it is given: the one code that evaluates H.  With
+half = D/2, m the arrow counts and a, b over the blocks of the profile,
+
+    D H(k) = sum_a k_a (base_a + half k_a - sum_b half m_ab k_b),
+    base_a = half (sum_b m_ab d_b - d_a) + D delta_a,
+
+so base and the rows half m_ab are built once per table, and the terms
+with k_a = 0 are skipped; D H(0) = 0.  The central-weight search reads
+E(e, d - e) from it once, at the zero weight, and adds each candidate's
+D <delta, e>, with D and D delta from ``_scaled_central``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputSchemaError
 from .quiver import (
@@ -117,7 +124,9 @@ class CentralWeight(_Record):
         t = total_dim(d)
         if t == 0:
             raise InputSchemaError("cannot spread a weight over a zero dimension vector")
-        return cls((Fraction(v, t),) * len(d))
+        out = cls.__new__(cls)
+        out._init((Fraction(v, t),) * len(d))
+        return out
 
     @classmethod
     def parse(cls, text: str) -> "CentralWeight":
@@ -157,12 +166,16 @@ def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
     nonzero block.  Refuses a central weight with another vertex count."""
     delta._check_vertices(d)
     scale, sdelta = _scaled_central(delta)
+    half = scale // 2
+    rows = [[half * q.arrows[i][j] for j in verts] for i in verts]
+    base = [half * (sum(q.arrows[i][j] * d[j] for j in verts) - d[i]) + sdelta[i]
+            for i in verts]
     out = []
     for k in profiles:
         h = 0
-        for a, i in enumerate(verts):
-            cut = sum(q.arrows[i][j] * (d[j] - k[b]) for b, j in enumerate(verts)) - d[i] + k[a]
-            h += k[a] * (scale // 2 * cut + sdelta[i])
+        for ka, b, row in zip(k, base, rows):
+            if ka:
+                h += ka * (b + half * ka - sum(map(mul, row, k)))
         out.append(h)
     return scale, out
 

@@ -192,6 +192,18 @@ def test_last_blocks_of_rank_three_and_four():
     assert magic_dimension_v(loop_quiver(3), (8,), 1) == 3_828
 
 
+@pytest.mark.parametrize("q, d", [
+    (TORIC[1], (1, 1)),
+    (ALL_ONES_3, (1, 2, 2)),
+    (Quiver(("0", "1", "2"), ((1, 2, 1), (2, 0, 1), (1, 1, 3))), (1, 0, 2)),
+], ids=["rank-1-after-one-block", "rank-2-after-two-blocks", "zero-block"])
+def test_small_last_blocks_are_counted_off_the_flat_layer(q, d):
+    # a last block of rank at most 2 adds, per earlier-block state, the
+    # length of its first slot's range; "checked" compares with the flow DFS
+    n = total_dim(d)
+    assert all([magic_dimension_v(q, d, v, fast="checked") for v in range(-n, 2 * n + 1)])
+
+
 def test_box3_counts_partitions_in_a_box():
     for k in range(26):
         want = [0] * (3 * k + 1)
@@ -362,6 +374,7 @@ def test_scaled_half_widths_match_the_width_definition(case):
     profiles = list(product(*(range(m + 1) for m in d)))
     scale, table = _scaled_half_widths(q, d, delta, range(len(d)), profiles)
     assert len(table) == len(profiles)
+    assert table[0] == 0  # D H(0) = 0: the window count keeps no residual there
 
     def top_slots(k):
         return tuple(x for m, ki in zip(d, k) for x in [0] * (m - ki) + [1] * ki)
@@ -370,6 +383,20 @@ def test_scaled_half_widths_match_the_width_definition(case):
         lam = top_slots(k)
         assert Fraction(h, scale) == \
             Fraction(window_width(q, d, lam), 2) + pairing(lam, delta.expand(d))
+    # the same values over the window count's own blocks: ascending d, ties
+    # in vertex order, zero blocks skipped
+    verts = sorted((i for i, m in enumerate(d) if m), key=d.__getitem__)
+    sub = list(product(*(range(d[i] + 1) for i in verts)))
+    by_profile = dict(zip(profiles, table))
+
+    def in_vertex_order(k):
+        full = [0] * len(d)
+        for i, ki in zip(verts, k):
+            full[i] = ki
+        return tuple(full)
+
+    assert _scaled_half_widths(q, d, delta, verts, sub) == \
+        (scale, [by_profile[in_vertex_order(k)] for k in sub])
     admissible = set(_admissible_parts(q, d, delta, _parts(d, True)))
     for e in profiles[1:]:
         assert (e in admissible) == (integrality_indicator(q, d, top_slots(e), delta) == 1)

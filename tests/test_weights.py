@@ -77,9 +77,17 @@ def test_central_weight_spread():
     # the diagonal pairing is v whatever the dimension vector shape
     for d, v in [((2,), 5), ((1, 2), -4), ((3, 1, 2), 7)]:
         assert CentralWeight.spread(d, v).total_pairing(d) == v
-    with pytest.raises(InputSchemaError):
-        CentralWeight.spread((0, 0), 1)
-    for v in (0.5, True, Fraction(1, 2)):
+    # built without re-validation, it is the record the checked
+    # constructor makes from the same values
+    for d, v in [((2,), 5), ((1, 2), -4), ((3, 0, 2), 0), ((4,), 6)]:
+        spread, checked = CentralWeight.spread(d, v), CentralWeight((Fraction(v, sum(d)),) * len(d))
+        assert spread == checked and hash(spread) == hash(checked)
+        assert repr(spread) == repr(checked)
+        assert all(type(x) is Fraction for x in spread.values)
+    for d in [(0, 0), (0,)]:
+        with pytest.raises(InputSchemaError):
+            CentralWeight.spread(d, 1)
+    for v in (0.5, 1.0, True, "1", Fraction(1, 2)):
         with pytest.raises(InputSchemaError):
             CentralWeight.spread((2,), v)
 
