@@ -41,13 +41,14 @@ least lo and at least what the cap on the block's sum less its last value
 leaves, and they sum to what the block still needs, so a state adds its
 ways times a number of partitions into at most three parts in a box, a
 Gaussian-binomial coefficient in closed form (``_box3``).  A last block of
-rank at most 2 is counted straight off the earlier blocks' layer: each
-state adds its ways times the length of its first slot's range.  Every
-bound is read from the one table of D H, D = 2 lcm of the denominators of
-delta: v = H(d) = <delta, d>, and every slot of block i lies in
-[v - F(d - e_i), F(e_i)], since the top slot alone is cut by F(e_i) and
-the other slots of the sum v by F(d - e_i).  No zonotope is built, no
-membership test runs and no process starts.
+rank at most 2 keeps no states: at the last earlier block's final slot, or
+at the start if it is the only block, each state adds, per sum of the
+block before it, its ways times the length of its first slot's range
+(``_small_last``).  Every bound is read from the one table of D H, D = 2 lcm
+of the denominators of delta: v = H(d) = <delta, d>, and every slot of
+block i lies in [v - F(d - e_i), F(e_i)], since the top slot alone is cut
+by F(e_i) and the other slots of the sum v by F(d - e_i).  No zonotope is
+built, no membership test runs and no process starts.
 ``fast="checked"`` also runs the flow-membership reference
 ``oracle.window_count_dfs`` and raises ``RouteDisagreementError`` when the
 two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
@@ -135,10 +136,17 @@ def _window_count(q, d, delta) -> int:
     # r but the zero profile, where it is F(0) = 0 and stays 0 (every cap
     # keeps F - sum T >= 0 there), then the rows of F still to come.  At a
     # block's last slot the prefix sum joins the total and only the ways are
-    # kept, since the next block starts from prev = hi and s = 0
-    layer = {(tuple(cuts[1:]), 0): 1}
+    # kept, since the next block starts from prev = hi and s = 0.  A last
+    # block of rank at most 2 is counted at the last earlier block's final
+    # slot, or, if it is the only block, from the start state with y = 0
+    last = ranges[-1]
+    small = last[0] < 3
+    if small and len(ranges) == 1:
+        return _small_last(*last, cuts[1:], cuts[1:], v, {0: 1})
+    layer, total = {(tuple(cuts[1:]), 0): 1}, 0
     for i, (m, lo, hi) in enumerate(ranges[:-1]):
         later = rest_lo[i + 1]
+        fuse = small and i == len(ranges) - 2
         w, sum_lo, sum_hi = len(later) - 1, v - rest_hi[i + 1], v - later[-1]
         layer = {key: {(hi, 0): ways} for key, ways in layer.items()}
         for p in range(m - 1, -1, -1):
@@ -157,6 +165,9 @@ def _window_count(q, d, delta) -> int:
                                    min(prev, cap - s, need_hi - s - below_lo) + 1):
                         xy = (x, s + x) if p else s + x
                         step[xy] = step.get(xy, 0) + ways
+                if fuse and not p:
+                    total += _small_last(*last, head, row, v - acc, step)
+                    continue
                 for xy, ways in step.items():
                     y = xy[1] if p else xy
                     key = (tuple([a if a < (t := b - y) else t
@@ -170,18 +181,14 @@ def _window_count(q, d, delta) -> int:
                         into[xy] = into.get(xy, 0) + ways
             layer = nxt
 
+    if small:
+        return total
     # the last block has no later profiles, so the key's caps are the
     # residuals at its profiles k = 1..m, the current one first; the earlier
     # total fixes the block's sum need = v - acc, and a key whose final cap
-    # is below need has no completion.  A block of rank m <= 2 is counted
-    # off this flat layer: its first slot x has cap c[0], and the last value
-    # need - x lies in [lo, x]
-    m, lo, hi = ranges[-1]
-    if m < 3:
-        return sum(ways * len(range(max(lo, need - (m - 1) * hi, -(-need // m)),
-                                    min(hi, c[0], need - (m - 1) * lo) + 1))
-                   for (c, acc), ways in layer.items() if (need := v - acc) <= c[-1])
-    # otherwise each state carries {prefix sum: {last value: ways}}
+    # is below need has no completion.  Each state carries {prefix sum:
+    # {last value: ways}}
+    m, lo, hi = last
     layer = {key: {0: {hi: ways}} for key, ways in layer.items() if v - key[1] <= key[0][-1]}
     for p in range(m - 1, 2, -1):
         # fold the current cap into the last value, u = min(prev, cap - s),
@@ -213,7 +220,6 @@ def _window_count(q, d, delta) -> int:
     # c >= L = max(lo, need - c[1]), since the cap on the block's sum less its
     # last value bounds that value below: the partitions of need - s - 3 L
     # into at most three parts of at most U - L
-    total = 0
     for (c, acc), group in layer.items():
         need = v - acc
         low = max(lo, need - c[1])
@@ -221,6 +227,20 @@ def _window_count(q, d, delta) -> int:
             for prev, ways in prevs.items():
                 total += ways * _box3(need - s - 3 * low, min(prev, c[0] - s) - low)
     return total
+
+
+def _small_last(m: int, lo: int, hi: int, head, row, need: int, ys: dict) -> int:
+    """Ways to fill a last block of rank m <= 2 from one state; ``ys`` maps each
+    sum y of the block before it to its ways.  The block's caps are then
+    min(head, row - y): its sum n = need - y is at most the last one, and its
+    top value x at most the first one and hi, with n - x in [lo, x] if m = 2."""
+    h0, hl, r0, rl = head[0], head[-1], row[0], row[-1]
+    count = 0
+    for y, ways in ys.items():
+        if (n := need - y) <= hl and n <= rl - y:
+            count += ways * len(range(max(lo, n - (m - 1) * hi, -(-n // m)),
+                                      min(hi, h0, r0 - y, n - (m - 1) * lo) + 1))
+    return count
 
 
 def _box3(n: int, k: int) -> int:

@@ -28,7 +28,7 @@ from quasibps.weights import (
 )
 from quasibps.zonotope import bounding_box, contains, weight_zonotope
 
-TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(3)}
+TORIC = {g: Quiver(("0", "1"), ((1, 2 * g + 1), (2 * g + 1, 1))) for g in range(5)}
 CROSS = Quiver(("a", "b"), ((1, 2), (2, 1)))
 ALL_ONES_3 = Quiver(("0", "1", "2"), ((1,) * 3,) * 3)
 ALL_ONES_4 = Quiver(("0", "1", "2", "3"), ((1,) * 4,) * 4)
@@ -192,16 +192,41 @@ def test_last_blocks_of_rank_three_and_four():
     assert magic_dimension_v(loop_quiver(3), (8,), 1) == 3_828
 
 
-@pytest.mark.parametrize("q, d", [
-    (TORIC[1], (1, 1)),
-    (ALL_ONES_3, (1, 2, 2)),
-    (Quiver(("0", "1", "2"), ((1, 2, 1), (2, 0, 1), (1, 1, 3))), (1, 0, 2)),
-], ids=["rank-1-after-one-block", "rank-2-after-two-blocks", "zero-block"])
-def test_small_last_blocks_are_counted_off_the_flat_layer(q, d):
-    # a last block of rank at most 2 adds, per earlier-block state, the
-    # length of its first slot's range; "checked" compares with the flow DFS
+UNEVEN_3 = Quiver(("0", "1", "2"), ((1, 2, 1), (2, 0, 1), (1, 1, 3)))
+
+
+@pytest.mark.parametrize("q, d, deltas", [
+    (TORIC[1], (1, 1), None),
+    (ALL_ONES_3, (1, 2, 2), None),
+    (UNEVEN_3, (1, 0, 2), None),
+    (ALL_ONES_3, (1, 1, 1), None),
+    (ALL_ONES_3, (1, 1, 1), ("-1/2,1/3,1/6", "1/4,1/2,-3/4", "1,-1/2,1/2")),
+    (UNEVEN_3, (1, 1, 2), ("1,0,-1/2", "1/3,2/3,-1/2", "1/4,3/4,0")),
+], ids=["rank-1-after-one-block", "rank-2-after-two-blocks", "zero-block",
+        "rank-1-after-two-blocks", "rank-1-rational-delta", "rank-2-rational-delta"])
+def test_small_last_blocks_are_counted_off_the_flat_layer(q, d, deltas):
+    # a last block of rank at most 2 is counted at the last earlier block's
+    # final slot, or from the start state when it is the only block: each
+    # state adds its ways times the length of the first slot's range.  Every
+    # v in [-n, 2n], or rational deltas, whose counts have no v <-> -v
+    # symmetry to hide a swapped cap; "checked" compares with the flow DFS
     n = total_dim(d)
-    assert all([magic_dimension_v(q, d, v, fast="checked") for v in range(-n, 2 * n + 1)])
+    weights = ([CentralWeight.spread(d, v) for v in range(-n, 2 * n + 1)] if deltas is None
+               else [CentralWeight.parse(text) for text in deltas])
+    assert all([magic_dimension(q, d, delta, fast="checked") for delta in weights])
+
+
+def test_sweep_heaviest_strata():
+    # the multi-vertex bench sweep's costliest strata, all with a last block
+    # of rank at most 2; the same integers as bench/expected.json
+    cases = [(TORIC[0], (2, 2), [2, 3, 2, 7, 2, 3, 2]),
+             (TORIC[1], (2, 2), [36, 42, 36, 58, 36, 42, 36]),
+             (TORIC[2], (2, 2), [150, 165, 150, 201, 150, 165, 150]),
+             (TORIC[3], (2, 2), [392, 420, 392, 484, 392, 420, 392]),
+             (TORIC[4], (2, 2), [810, 855, 810, 955, 810, 855, 810]),
+             (ALL_ONES_3, (1, 1, 2), [7, 8, 7, 10, 7, 8, 7])]
+    for q, d, want in cases:
+        assert [magic_dimension_v(q, d, v, fast="checked") for v in range(-3, 4)] == want
 
 
 def test_box3_counts_partitions_in_a_box():
