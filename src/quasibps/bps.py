@@ -22,12 +22,15 @@ the integer tuples (c_1, ..., c_d) with
 * sum of the last k entries at most v*k/d for k = 1..d,
 * total sum exactly v.
 
-Those constraints confine every entry to an explicit box.  The count runs
-over the reversed sequence, one layer per entry, mapping each partial sum
-to the ways of ending in each previous entry.  An entry b may follow any
-previous entry of at least b - 2g, so b is walked downward with a running
-sum of those ways, and stopped once even its largest completion, entries
-climbing by 2g up to the top of the box, a closed-form sum, falls below v.
+The count works in dominance coordinates a_j = c_{d+1-j} - 2g(j-1): the
+tuple read back to front, with its steps taken out.  There the entries are
+non-increasing, the suffix sums become prefix caps a_1 + ... + a_k <=
+floor(v k / d) - g k(k-1), and the total is the cap at k = d.  The count runs
+one layer per entry, mapping each partial sum to the ways of ending in each
+previous entry.  An entry a may follow any previous entry of at least a, so
+a is walked downward with a running sum of those ways, down to the mean of
+what is left of the total, below which the rest could not reach it.  The
+last two entries are counted in closed form, not walked.
 The assembly side combines a table of per-part block dimensions over the
 admissible partitions of a central weight, multiplying symmetric-power
 dimensions over repeated parts.
@@ -51,33 +54,32 @@ def score_sequence_count(g: int, d: int, v: int) -> int:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
     if not is_int(v):
         raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
-    lo = -(-v // d) - 2 * g * (d - 1)
-    hi = v // d + 2 * g * (d - 1)
-    step = 2 * g
-
-    # count in reverse (last entry first) so the suffix-sum constraints become
-    # prefix constraints: with b_j = c_{d+1-j}, need b_{j+1} <= b_j + 2g and
-    # d * (b_1 + ... + b_k) <= v * k.  layer[acc][prev]: ways for the entries
-    # so far to sum to acc and end in prev; the start state lets b_1 reach hi.
-    layer = {0: {hi - step: 1}}
-    for j in range(d):
-        rest = d - j - 1
-        cap = v * (j + 1) // d
+    if d == 1:
+        return 1
+    # count a_j = c_{d+1-j} - 2g(j-1): the steps become a_{j+1} <= a_j and
+    # the suffix sums prefix caps, a_1 + ... + a_k <= cap[k], with total
+    # cap[d].  layer[acc][prev]: ways for the entries so far to sum to acc
+    # and end in prev; the start state lets a_1 reach cap[1].  An entry a at
+    # or below cap[j] - acc follows every prev >= a, and the d - j + 1
+    # entries from a on, none above a, reach the total only if
+    # a >= ceil((total - acc) / (d - j + 1)).
+    cap = [v * k // d - g * k * (k - 1) for k in range(d + 1)]
+    total = cap[d]
+    layer = {0: {cap[1]: 1}}
+    for j in range(1, d - 1):
         nxt: dict[int, dict[int, int]] = {}
         for acc, ways in layer.items():
-            prevs = sorted(ways, reverse=True)
-            k = run = 0  # run: ways over the prevs with prev + 2g >= b
-            for b in range(min(hi, prevs[0] + step, cap - acc), lo - 1, -1):
-                # the largest completion climbs by 2g from b for s entries, then stays at hi
-                s = rest if g == 0 else min(rest, (hi - b) // step)
-                if acc + b + s * b + g * s * (s + 1) + (rest - s) * hi < v:
-                    break
-                while k < len(prevs) and prevs[k] + step >= b:
-                    run += ways[prevs[k]]
-                    k += 1
-                nxt.setdefault(acc + b, {})[b] = run
+            top = cap[j] - acc
+            run = 0  # ways over the prevs >= a
+            for a in range(max(ways), -((acc - total) // (d - j + 1)) - 1, -1):
+                run += ways.get(a, 0)
+                if a <= top:
+                    nxt.setdefault(acc + a, {})[a] = run
         layer = nxt
-    return sum(layer.get(v, {}).values())
+    # the last two, a >= b with a + b = total - acc, are counted: a runs
+    # from ceil((total - acc) / 2) to min(prev, cap[d - 1] - acc)
+    return sum(w * max(0, min(prev, cap[d - 1] - acc) + (acc - total) // 2 + 1)
+               for acc, ways in layer.items() for prev, w in ways.items())
 
 
 def _mobius(n: int) -> int:

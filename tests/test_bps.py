@@ -57,11 +57,11 @@ def test_score_sequence_matches_window_count():
                 assert score_sequence_count(g, d, v) == magic_dimension_v(q, (d,), v)
 
 
-def _score_sequences_in_box(g, d, v):
-    """Tuples of the box [lo, hi]^d summing to v that satisfy the defining
-    inequalities as written; the last entry is fixed by the sum."""
-    lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1)
-    hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1)
+def _score_sequences_in_box(g, d, v, margin=0):
+    """Tuples of the box [lo - margin, hi + margin]^d summing to v that satisfy
+    the defining inequalities as written; the last entry is fixed by the sum."""
+    lo = math.ceil(Fraction(v, d)) - 2 * g * (d - 1) - margin
+    hi = math.floor(Fraction(v, d)) + 2 * g * (d - 1) + margin
     count = 0
     for head in product(range(lo, hi + 1), repeat=d - 1):
         last = v - sum(head)
@@ -85,6 +85,38 @@ def score_cases(draw):
 @given(score_cases())
 def test_score_sequence_count_matches_box_scan(case):
     assert score_sequence_count(*case) == _score_sequences_in_box(*case)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_score_sequence_counted_pair_on_an_edge_grid(d):
+    # d = 2 is the counted last pair alone; d = 3 adds one walked entry.  The
+    # scan's box is wider than the one the entries must lie in, so the
+    # test does not rest on that box.
+    for g in range(5):
+        for v in range(-2 * d - 3, 4 * d + 4):
+            want = _score_sequences_in_box(g, d, v, margin=3)
+            assert score_sequence_count(g, d, v) == want, (g, v)
+
+
+def test_score_sequence_shares_no_code_with_the_window_count(monkeypatch):
+    import quasibps.magic as magic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the score walk called the window count")
+
+    for name in ("_window_count", "_small_last", "_box3"):
+        monkeypatch.setattr(magic, name, refuse)
+    pinned = {  # g: rows d = 1..5, each over v = -1..d+1
+        0: [[1, 1, 1, 1], [0, 1, 0, 1, 0], [0, 1, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1, 0],
+            [0, 1, 0, 0, 0, 0, 1, 0]],
+        1: [[1, 1, 1, 1], [1, 2, 1, 2, 1], [3, 5, 3, 3, 5, 3], [10, 16, 10, 11, 10, 16, 10],
+            [40, 59, 40, 40, 40, 40, 59, 40]],
+        2: [[1, 1, 1, 1], [2, 3, 2, 3, 2], [10, 13, 10, 10, 13, 10], [60, 76, 60, 63, 60, 76, 60],
+            [425, 521, 425, 425, 425, 425, 521, 425]],
+    }
+    for g, rows in pinned.items():
+        got = [[score_sequence_count(g, d, v) for v in range(-1, d + 2)] for d in range(1, 6)]
+        assert got == rows, g
 
 
 def test_score_sequence_pinned_large_ranks():
