@@ -308,7 +308,7 @@ def _take_help(name, flag: str, value) -> None:
     rest = value if flag == "--help" or value is None else value.lstrip("h")  # -hh is -h -h
     if value == "" or rest:
         _fail(name, f"argument -h/--help: ignored explicit argument {rest!r}")
-    print(_help(name))
+    print(_help(name), flush=True)  # so a closed pipe reaches main's handler
     raise SystemExit(0)
 
 

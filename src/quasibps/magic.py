@@ -22,7 +22,8 @@ E(k, d - k)/2 + <delta, k>: the same H whose integrality decides part
 admissibility.  ``weights._scaled_half_widths`` evaluates it for both.
 
 The count is one layered walk over every slot: the nonzero blocks in
-ascending order of d_i, ties in vertex order, so the largest comes last,
+ascending order of d_i, ties in vertex order, so the largest comes last
+(but of two blocks of ranks 2 <= a < b with b >= 4 the larger goes first),
 and inside a block the top slot first.  A state is keyed by what the rest
 of the walk can still see: the total of the earlier blocks and, for each
 nonzero profile r of the later blocks, the residual min over the passed
@@ -106,9 +107,11 @@ def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
 
 
 def _window_count(q, d, delta) -> int:
-    # the nonzero blocks in ascending order of d_i, ties in vertex order, so
-    # the largest, whose walk has the most states, carries no residual
+    # the nonzero blocks in ascending order of d_i, ties in vertex order, so the
+    # largest carries no residual; two blocks 2 <= a < b >= 4 go larger first
     verts = sorted((i for i, m in enumerate(d) if m), key=d.__getitem__)
+    if len(verts) == 2 and 2 <= d[verts[0]] < d[verts[1]] >= 4:
+        verts.reverse()
     scale, table = _scaled_half_widths(q, d, delta, verts,
                                        product(*(range(d[i] + 1) for i in verts)))
     v, off = divmod(table[-1], scale)  # H(d) = <delta, d>

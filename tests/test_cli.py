@@ -283,15 +283,17 @@ def test_parser_matches_argparse_on_random_lines(first, rest):
 
 
 def test_closed_stdout_exits_141_without_traceback():
+    # without PYTHONUNBUFFERED stdout is block-buffered, as it is by default
     src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     s_set = ["s-set", "--loops", "3", "--dim", "20", "--v", "0", "--output"]
-    for argv in (s_set + ["table"], s_set + ["csv"], ["magic-count", "--help"]):
+    for argv in (s_set + ["table"], s_set + ["csv"], ["magic-count", "--help"], ["--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
         try:
             proc = subprocess.run([sys.executable, "-m", "quasibps.cli", *argv],
                                   stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  timeout=120, env={**os.environ, "PYTHONPATH": src})
+                                  timeout=120, env={**env, "PYTHONPATH": src})
         finally:
             os.close(write_end)
         assert proc.returncode == 141

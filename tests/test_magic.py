@@ -85,8 +85,10 @@ def test_shift_and_duality_invariance():
 
 def test_fast_modes_agree():
     # (2, 2, 3) is the case where a rank-2 earlier block's block-end state
-    # seeds another rank-2 earlier block
+    # seeds another rank-2 earlier block; CROSS (2, 4) and (4, 2) are walked
+    # larger block first
     for q, d in [(loop_quiver(3), (3,)), (TORIC[1], (1, 1)), (CROSS, (2, 1)),
+                 (CROSS, (2, 4)), (CROSS, (4, 2)),
                  (ALL_ONES_4, (1, 1, 2, 2)), (ALL_ONES_3, (2, 2, 3))]:
         for v in range(0, 3):
             on = magic_dimension_v(q, d, v, fast="on")
@@ -243,7 +245,9 @@ def test_box3_counts_partitions_in_a_box():
 def test_largest_block_is_counted_last(monkeypatch):
     # blocks are walked in ascending order of rank, so the largest carries no
     # residual; largest first, all-twos d=(1,4,6) takes about 4.5x as long
-    # (2.4 s against 0.5 s)
+    # (2.4 s against 0.5 s).  Of exactly two blocks the larger goes first only
+    # when the smaller has rank >= 2 and the larger rank >= 4; here the smaller
+    # has rank 1, so the rank-11 block still comes last
     d = (11, 1)
     half_widths = magic._scaled_half_widths
     ranks = []
@@ -256,6 +260,34 @@ def test_largest_block_is_counted_last(monkeypatch):
     q = Quiver(("0", "1"), ((3, 2), (2, 1)))
     assert magic_dimension_v(q, d, 1) == 23_841_480
     assert ranks == [1, 11]
+
+
+SKEW = Quiver(("0", "1"), ((3, 2), (2, 1)))
+BLOCK_ORDERS = [
+    # two blocks: larger first exactly when 2 <= smaller < larger >= 4
+    (SKEW, (1, 2), [0, 1]), (SKEW, (1, 4), [0, 1]), (SKEW, (2, 3), [0, 1]),
+    (SKEW, (11, 1), [1, 0]), (SKEW, (3, 4), [1, 0]), (SKEW, (2, 4), [1, 0]),
+    (SKEW, (4, 2), [0, 1]),
+    (SKEW, (4, 4), [0, 1]),  # equal ranks keep vertex order
+    # three blocks stay ascending, also when the two-block bounds hold
+    (ALL_ONES_3, (2, 4, 1), [2, 0, 1]),
+    (ALL_ONES_3, (2, 4, 4), [0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("q, d, order", BLOCK_ORDERS,
+                         ids=[",".join(map(str, d)) for _, d, _ in BLOCK_ORDERS])
+def test_window_count_block_order(monkeypatch, q, d, order):
+    half_widths = magic._scaled_half_widths
+    walked = []
+
+    def record_order(q, d, delta, verts, profiles):
+        walked.append(list(verts))
+        return half_widths(q, d, delta, verts, profiles)
+
+    monkeypatch.setattr(magic, "_scaled_half_widths", record_order)
+    magic_dimension_v(q, d, 1)
+    assert walked == [order]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -409,7 +441,9 @@ def test_scaled_half_widths_match_the_width_definition(case):
         assert Fraction(h, scale) == \
             Fraction(window_width(q, d, lam), 2) + pairing(lam, delta.expand(d))
     # the same values over the window count's own blocks: ascending d, ties
-    # in vertex order, zero blocks skipped
+    # in vertex order, zero blocks skipped.  Its one exception, two blocks of
+    # ranks 2 <= a < b with b >= 4 walked larger first, needs |d| >= 6, so it
+    # never arises here
     verts = sorted((i for i, m in enumerate(d) if m), key=d.__getitem__)
     sub = list(product(*(range(d[i] + 1) for i in verts)))
     by_profile = dict(zip(profiles, table))
