@@ -46,14 +46,18 @@ from .quiver import DimVector, Quiver, _Record, _read_json, check_dim_vector, is
 from .weights import CentralWeight
 
 
-def score_sequence_count(g: int, d: int, v: int) -> int:
-    """Number of score sequences for the 2g+1 loop quiver at rank d, weight v."""
+def _check_loop_args(g, d, v) -> None:
     if not is_count(g):
         raise InputSchemaError(f"loop parameter g must be a nonnegative integer, got {g!r}")
     if not is_count(d) or d < 1:
         raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
     if not is_int(v):
         raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
+
+
+def score_sequence_count(g: int, d: int, v: int) -> int:
+    """Number of score sequences for the 2g+1 loop quiver at rank d, weight v."""
+    _check_loop_args(g, d, v)
     if d == 1:
         return 1
     # count a_j = c_{d+1-j} - 2g(j-1): the steps become a_{j+1} <= a_j and
@@ -97,12 +101,7 @@ def _mobius(n: int) -> int:
 
 def loop_count(g: int, d: int, v: int) -> int:
     """``score_sequence_count(g, d, v)`` from the DT invariants of the m = 2g+1 loop quiver."""
-    if not is_count(g):
-        raise InputSchemaError(f"loop parameter g must be a nonnegative integer, got {g!r}")
-    if not is_count(d) or d < 1:
-        raise InputSchemaError(f"rank must be a positive integer, got {d!r}")
-    if not is_int(v):
-        raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
+    _check_loop_args(g, d, v)
     m, k = 2 * g + 1, math.gcd(d, v)
     series = [1] + [0] * k  # the product so far, truncated at t^k
     for j in range(1, k + 1):

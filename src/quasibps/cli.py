@@ -5,10 +5,11 @@ Dimension vectors and central weights are entered comma-separated in the
 vertex order of the quiver file; there is no reordering or matching by name.
 
 Each subcommand's options are rows of one table, ``_COMMANDS``, which both
-the parser and the help read; the parser reads a command line as argparse
-did (``--opt value`` or ``--opt=value``, unique prefixes of long flags, the
-last of a repeated option wins) without importing argparse, whose gettext
-and locale imports cost more than a small count.
+readers and the help read. A plain line, with every flag spelled in full
+(``--opt value`` or ``--opt=value``) and every value valid, is read from the
+table alone, since argparse's gettext and locale imports cost more than a
+small count. argparse, with parsers built from the same table, reads every
+other line: abbreviations, ``--``, ``-h``, and every rejected line.
 
 Exit codes: 0 success, 1 failed verify check, 2 malformed input, a rejected
 command line or an unwritable report path, 3 asymmetric quiver, 4 refused
@@ -246,7 +247,6 @@ _COMMANDS = {
         ("--quiet", None, None, False, "no per-check progress on stderr"),
         ("--output", ("table", "json"), str, "table", "output format"))),
 }
-_HELP = ("-h", "--help")
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as values, not as options
 
 
@@ -275,100 +275,90 @@ def _help(name) -> str:
     return "\n".join([_usage(name), "", about, "", *(f"  {a:<{width}}  {b}" for a, b in rows)])
 
 
-def _fail(name, message: str):
-    """Exit 2 as argparse does: the usage line, then one error line, on stderr."""
-    prog = "quasibps" if name is None else f"quasibps {name}"
-    print(f"{_usage(name)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _classify(name, arg: str, flags):
-    """How argparse reads one token: None for a value, else (flag, inline value),
-    with flag None for an unknown option; an ambiguous prefix fails."""
-    if arg in flags:
-        return arg, None
-    if len(arg) < 2 or arg[0] != "-":
-        return None
-    head, eq, value = arg.partition("=")
-    if eq and head in flags:
-        return head, value
-    if arg[1] == "-":  # a long flag may be abbreviated to a unique prefix
-        hits = [f for f in flags if f.startswith(head)]
-        if len(hits) > 1:
-            _fail(name, f"ambiguous option: {arg} could match {', '.join(hits)}")
-        if hits:
-            return hits[0], value if eq else None
-    elif arg.startswith("-h"):  # -hX is -h with the inline value X
-        return "-h", arg[2:]
-    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
-
-
-def _take_help(name, flag: str, value) -> None:
-    """Print the help and exit 0; an inline value fails as it does in argparse."""
-    rest = value if flag == "--help" or value is None else value.lstrip("h")  # -hh is -h -h
-    if value == "" or rest:
-        _fail(name, f"argument -h/--help: ignored explicit argument {rest!r}")
-    print(_help(name), flush=True)  # so a closed pipe reaches main's handler
-    raise SystemExit(0)
-
-
-def _parse(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]]:
-    """Subcommand ``name``'s option values from ``argv``, and the tokens left over."""
+def _plain(name: str, argv: list[str]):
+    """Subcommand ``name``'s option values from ``argv`` when every flag is spelled
+    in full and every value is plain and valid; else None, and argparse reads it."""
     rows = {row[0]: row for row in _COMMANDS[name][2]}
-    # "--" ends the options: it is left over itself, and every later token is a value
-    end, flags = argv.index("--") if "--" in argv else len(argv), [*_HELP, *rows]
-    kinds = [_classify(name, a, flags) for a in argv[:end]] + [(None, None)] * (end < len(argv))
-    kinds += [None] * (len(argv) - len(kinds))
-    given, extras, i = {}, [], 0
+    given, i = {}, 0
     while i < len(argv):
-        arg, kind = argv[i], kinds[i]
-        i += 1
-        if kind is None or kind[0] is None:
-            extras.append(arg)
-            continue
-        flag, value = kind
-        if flag in _HELP:
-            _take_help(name, flag, value)
+        flag, eq, value = argv[i].partition("=")
+        if flag not in rows:
+            return None
         meta, convert = rows[flag][1:3]
-        if convert is None and value is not None:
-            _fail(name, f"argument {flag}: ignored explicit argument {value!r}")
-        if convert is not None and value is None:
-            if i == len(argv) or kinds[i] is not None:
-                _fail(name, f"argument {flag}: expected one argument")
+        i += 1
+        if convert is None:
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            if i == len(argv) or argv[i].startswith("-") and not _NEGATIVE.match(argv[i]):
+                return None
             value, i = argv[i], i + 1
         try:
-            given[flag] = True if convert is None else convert(value)
+            given[flag] = convert(value)
         except ValueError:
-            _fail(name, f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+            return None
         if isinstance(meta, tuple) and value not in meta:
-            _fail(name, f"argument {flag}: invalid choice: {value!r} "
-                        f"(choose from {', '.join(map(repr, meta))})")
-        if _EXCLUSIVE.get(flag) in given:
-            _fail(name, f"argument {flag}: not allowed with argument {_EXCLUSIVE[flag]}")
-    missing = [f for f, row in rows.items() if row[3] is _REQUIRED and f not in given]
-    if missing:
-        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+            return None
+    if any(row[3] is _REQUIRED and f not in given for f, row in rows.items()):
+        return None
+    if any(_EXCLUSIVE.get(f) in given for f in given):
+        return None
     values = {f[2:].replace("-", "_"): given.get(f, row[3]) for f, row in rows.items()}
-    return SimpleNamespace(**values), extras
+    return SimpleNamespace(**values)
 
 
-def _read(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The subcommand ``argv`` names and its option values, read as argparse read them."""
-    # the first value names the subcommand; the tokens before it are options
-    at = next((i for i, arg in enumerate(argv)
-               if arg == "--" or _classify(None, arg, _HELP) is None), len(argv))
-    for flag, value in (_classify(None, arg, _HELP) for arg in argv[:at]):
-        if flag is not None:
-            _take_help(None, flag, value)
-    if argv[at:] in ([], ["--"]):
-        _fail(None, "the following arguments are required: command")
-    name = argv[at]
-    if name not in _COMMANDS:
-        _fail(None, f"argument command: invalid choice: {name!r} "
-                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    args, unknown = _parse(name, argv[at + 1:])
-    if at or unknown:  # argparse names the parser that was left the tokens
-        _fail(None if at else name, f"unrecognized arguments: {' '.join(argv[:at] + unknown)}")
+def _read(argv: list[str]):
+    """The subcommand ``argv`` names and its option values, read as argparse reads them."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = None if name is None else _plain(name, argv[1:])
+    if args is not None:
+        return name, args
+    import argparse  # only a line the plain reader declines pays for this import
+
+    class Parser(argparse.ArgumentParser):
+        """argparse, printing the help and the usage line from ``_COMMANDS``."""
+
+        def print_help(self, file=None):
+            # flushed here, so a closed pipe raises inside main and exits 141
+            print(_help(self.prog.partition(" ")[2] or None), flush=True)
+
+        def error(self, message):
+            usage = _usage(self.prog.partition(" ")[2] or None)
+            print(f"{usage}\n{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(2)
+
+    def build(parser, command):
+        exclusive = None
+        for flag, meta, convert, default, _ in _COMMANDS[command][2]:
+            group = parser
+            if flag in _EXCLUSIVE:
+                group = exclusive = exclusive or parser.add_mutually_exclusive_group()
+            if convert is None:
+                group.add_argument(flag, action="store_true")
+                continue
+            required = default is _REQUIRED
+            shown = {"choices": meta} if isinstance(meta, tuple) else {"metavar": meta}
+            group.add_argument(flag, type=convert, required=required,
+                               default=None if required else default, **shown)
+        return parser
+
+    # a line that starts with a subcommand is read by that subcommand's parser
+    if name is not None:
+        args = build(Parser(prog=f"quasibps {name}"), name).parse_args(argv[1:])
+    else:
+        parser = Parser(prog="quasibps")
+        subs = parser.add_subparsers(dest="command", required=True)
+        for command in _COMMANDS:
+            build(subs.add_parser(command), command)
+        args = parser.parse_args(argv)
+        name = args.command
+    # argparse before 3.13 reads "--opt=--" as [], where the value "--" was meant
+    empty = [key for key, value in vars(args).items() if value == []]
+    if empty:
+        Parser(prog=f"quasibps {name}").error(
+            f"argument --{empty[0].replace('_', '-')}: expected one argument")
     return name, args
 
 

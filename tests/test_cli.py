@@ -282,6 +282,53 @@ def test_parser_matches_argparse_on_random_lines(first, rest):
     assert outcome(cli._read, argv) == outcome(reference_read, argv)
 
 
+# option values for well-formed lines: negatives, bad ints and bad choices among them,
+# and half the time a value the option accepts
+VALUES = ["3", "0", "-1", "-2.5", " 2", "1,2", "1/2", "-1/2", "x", "", "json", "csv", "xml",
+          "checked", "mf"]
+GOOD = {int: ["3", "-1"], str: ["2", "1,2"]}
+
+
+@st.composite
+def well_formed_lines(draw):
+    """A subcommand and its own rows, each flag spelled in full: each row in
+    turn or not, --dim always, then a few repeats, all in a drawn order."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    rows = cli._COMMANDS[name][2]
+    argv = [name]
+    chosen = [row for row in rows if row[0] == "--dim" or draw(st.booleans())]
+    chosen += draw(st.lists(st.sampled_from(rows), max_size=2))
+    for flag, meta, convert, _, _ in draw(st.permutations(chosen)):
+        if convert is None:
+            argv.append(flag)
+            continue
+        good = list(meta) if isinstance(meta, tuple) else GOOD[convert]
+        value = draw(st.sampled_from(good) | st.sampled_from(VALUES))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(well_formed_lines())
+def test_parser_matches_argparse_on_well_formed_lines(argv):
+    assert outcome(cli._read, argv) == outcome(reference_read, argv)
+
+
+def plain(line):
+    """The plain reader's reading of ``line``, None where it leaves the line to argparse."""
+    argv = shlex.split(line)
+    return cli._plain(argv[0], argv[1:]) if argv and argv[0] in cli._COMMANDS else None
+
+
+def test_plain_reader_reads_only_full_valid_lines():
+    for line in BENCH_LINES + README_LINES:
+        assert plain(line) is not None, line
+    for line in HELP_LINES + REJECTED_LINES + [
+            "magic-count --lo 3 --dim 2 --v 1", "magic-count --loops 3 --di=2 --v 1",
+            "s-set --loops 3 --dim 2 --v 1 --fo", "verify --quiet=1"]:
+        assert plain(line) is None, line
+
+
 def test_closed_stdout_exits_141_without_traceback():
     # without PYTHONUNBUFFERED stdout is block-buffered, as it is by default
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -307,6 +354,19 @@ def test_unrecognized_option_reports_the_subcommand_usage(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: quasibps magic-count ")
     assert err.endswith("quasibps magic-count: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("line", [
+    "magic-count --lo 3 --dim=-- --v 1", "s-set --loops=-- --di 2 --v 1",
+    "magic-count --lo 3 --dim 2 --delta=-- --fo", "bps-dim --lo 3 --dim 2 --v 0 --fl=--"])
+def test_an_option_value_of_two_dashes_exits_two(capsys, line):
+    # argparse before 3.13 reads "--opt=--" as an empty list rather than as "--"
+    try:
+        code = cli.main(shlex.split(line))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") in (1, 2)
 
 
 def test_importing_the_cli_leaves_csv_unloaded():

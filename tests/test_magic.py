@@ -206,7 +206,7 @@ UNEVEN_3 = Quiver(("0", "1", "2"), ((1, 2, 1), (2, 0, 1), (1, 1, 3)))
     (UNEVEN_3, (1, 1, 2), ("1,0,-1/2", "1/3,2/3,-1/2", "1/4,3/4,0")),
 ], ids=["rank-1-after-one-block", "rank-2-after-two-blocks", "zero-block",
         "rank-1-after-two-blocks", "rank-1-rational-delta", "rank-2-rational-delta"])
-def test_small_last_blocks_are_counted_off_the_flat_layer(q, d, deltas):
+def test_small_last_blocks_are_counted_at_the_last_earlier_slot(q, d, deltas):
     # a last block of rank at most 2 is counted at the last earlier block's
     # final slot, or from the start state when it is the only block: each
     # state adds its ways times the length of the first slot's range.  Every

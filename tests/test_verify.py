@@ -1,6 +1,10 @@
 import json
 import re
 
+import pytest
+
+import quasibps.cli as cli
+import quasibps.verify as verify
 from quasibps.verify import (
     CHECKS,
     DEEP_CHECKS,
@@ -43,3 +47,54 @@ def test_report_shape_and_failure_propagation():
     assert obj["checks"][1]["computed"] == "3"
     raw = report_json(rows)
     assert json.dumps(json.loads(raw), sort_keys=True, separators=(",", ":")) == raw
+
+
+def plus_one(f):
+    return lambda *args, **kwargs: f(*args, **kwargs) + 1
+
+
+# one name in quasibps.verify replaced by a wrong one, and the checks that must fail
+PLANTS = {
+    "loop_count": (plus_one, ["score-route-agreement"]),
+    "magic_dimension_v": (plus_one, ["toric-window-counts", "odd-loop-rank-two",
+                                     "one-loop-divisibility", "score-route-agreement"]),
+    "partition_indicator": (lambda f: lambda *args, **kwargs: not f(*args, **kwargs),
+                            ["admissibility-routes"]),
+    "bps_assembly_dim": (plus_one, ["toric-window-counts", "tripled-loop-assembly"]),
+    "find_central_weight": (lambda f: lambda *args, **kwargs: None,
+                            ["central-weight-search"]),
+    "admissible_partitions": (lambda f: lambda *args, **kwargs: f(*args, **kwargs)[1:],
+                              ["closed-form-sets", "central-weight-search"]),
+    "magic_dimension": (plus_one, ["naive-lattice", "fractional-central"]),
+}
+
+
+def plant(monkeypatch, name, names):
+    """Replace ``name`` in quasibps.verify and leave only the checks ``names`` registered."""
+    wrong, _ = PLANTS[name]
+    monkeypatch.setattr(verify, name, wrong(getattr(verify, name)))
+    monkeypatch.setattr(verify, "CHECKS", [c for c in CHECKS + DEEP_CHECKS if c[0] in names])
+    monkeypatch.setattr(verify, "DEEP_CHECKS", [])
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_every_targeted_check_fails_under_its_plant(monkeypatch, name):
+    names = PLANTS[name][1]
+    plant(monkeypatch, name, names)
+    seen = []
+    results = verify.run_checks(progress=seen.append)
+    assert [r.name for r in results] == [r.name for r in seen] == \
+        [c[0] for c in CHECKS + DEEP_CHECKS if c[0] in names]
+    for r in results:
+        assert r.passed is False, r
+        # odd-loop-rank-two prints its counts rather than a mismatch list
+        assert "mismatches" in r.computed or r.name == "odd-loop-rank-two", r
+    assert report_dict(results)["pass"] is False
+
+
+def test_cli_verify_exits_one_under_a_plant(monkeypatch, capsys):
+    plant(monkeypatch, "loop_count", ["score-route-agreement"])
+    assert cli.main(["verify", "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  score-route-agreement")
+    assert "      computed: " in out and "mismatches" in out
