@@ -45,8 +45,8 @@ Gaussian-binomial coefficient in closed form (``_box3``).  A last block of
 rank at most 2 keeps no states: at the last earlier block's final slot, or
 at the start if it is the only block, each state adds, per sum of the
 block before it, its ways times the length of its first slot's range
-(``_small_last``).  Every bound is read from the one table of D H, D = 2 lcm
-of the denominators of delta: v = H(d) = <delta, d>, and every slot of
+(``_small_last``).  Every bound is read from the one table of D H, from D
+and the integers D delta_i: v = H(d) = <delta, d>, and every slot of
 block i lies in [v - F(d - e_i), F(e_i)], since the top slot alone is cut
 by F(e_i) and the other slots of the sum v by F(d - e_i).  No zonotope is
 built, no membership test runs and no process starts.
@@ -58,11 +58,12 @@ two counts differ; ``"on"`` and ``"off"`` are kept as aliases of the DP.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 from operator import sub
 
 from .errors import CutoffExceededError, InputSchemaError, RouteDisagreementError
 from .quiver import Quiver, check_dim_vector, is_count, require_symmetric, total_dim
-from .weights import CentralWeight, _scaled_half_widths
+from .weights import CentralWeight, _scaled_central, _scaled_half_widths, _spread_rank
 
 COUNT_CUTOFF = 12  # refuse larger total ranks unless force=True
 
@@ -77,22 +78,45 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
     """
     require_symmetric(q)
     d = check_dim_vector(q, d)
-    n = total_dim(d)
-    if n == 0:
+    if not any(d):
         raise InputSchemaError("dimension vector is zero")
+    _check_modes(fast, jobs)
+    scale, sdelta = _scaled_central(delta, d)
+    return _count(q, d, scale, sdelta, fast, force, lambda: delta)
+
+
+def magic_dimension_v(q: Quiver, d, v: int, *,
+                      fast: str = "on", jobs: int = 1, force: bool = False) -> int:
+    """Same count with the integer weight parameter spread evenly, delta_i =
+    v/n: D = 2n/g and D delta_i = 2v/g, g = gcd(v, n), with no central
+    weight built unless ``fast="checked"``."""
+    d = check_dim_vector(q, d)
+    n = _spread_rank(d, v)
+    require_symmetric(q)
+    _check_modes(fast, jobs)
+    g = gcd(v, n)
+    return _count(q, d, 2 * n // g, [2 * v // g] * len(d), fast, force,
+                  lambda: CentralWeight.spread(d, v))
+
+
+def _check_modes(fast, jobs) -> None:
     if fast not in _FAST_MODES:
         raise InputSchemaError(f"unknown fast-membership mode {fast!r}")
     if not is_count(jobs) or jobs < 1:
         raise InputSchemaError(f"jobs must be a positive integer, got {jobs!r}")
-    delta._check_vertices(d)
+
+
+def _count(q, d, scale, sdelta, fast, force, delta) -> int:
+    """The window count from D and D delta; ``fast="checked"`` compares it
+    with the flow-membership reference at the central weight ``delta()``."""
+    n = total_dim(d)
     if n > COUNT_CUTOFF and not force:
         raise CutoffExceededError(
             f"total rank {n} above counting cutoff {COUNT_CUTOFF}; use force to override")
-
-    count = _window_count(q, d, delta)
+    count = _window_count(q, d, scale, sdelta)
     if fast == "checked":
         from . import oracle  # the reference route; loaded only when asked for
-        reference = oracle.window_count_dfs(q, d, delta)
+        reference = oracle.window_count_dfs(q, d, delta())
         if reference != count:
             raise RouteDisagreementError(
                 f"window counts disagree for d={d}: "
@@ -100,20 +124,14 @@ def magic_dimension(q: Quiver, d, delta: CentralWeight, *,
     return count
 
 
-def magic_dimension_v(q: Quiver, d, v: int, **kwargs) -> int:
-    """Same count with the integer weight parameter spread evenly."""
-    d = check_dim_vector(q, d)
-    return magic_dimension(q, d, CentralWeight.spread(d, v), **kwargs)
-
-
-def _window_count(q, d, delta) -> int:
+def _window_count(q, d, scale: int, sdelta) -> int:
     # the nonzero blocks in ascending order of d_i, ties in vertex order, so the
     # largest carries no residual; two blocks 2 <= a < b >= 4 go larger first
     verts = sorted((i for i, m in enumerate(d) if m), key=d.__getitem__)
     if len(verts) == 2 and 2 <= d[verts[0]] < d[verts[1]] >= 4:
         verts.reverse()
-    scale, table = _scaled_half_widths(q, d, delta, verts,
-                                       product(*(range(d[i] + 1) for i in verts)))
+    table = _scaled_half_widths(q, d, scale, sdelta, verts,
+                                product(*(range(d[i] + 1) for i in verts)))
     v, off = divmod(table[-1], scale)  # H(d) = <delta, d>
     if off:
         return 0  # the window misses the integer slice of the sum hyperplane

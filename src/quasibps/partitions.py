@@ -25,13 +25,12 @@ H(d - e) sum to the integer E(e, d - e) + <delta, d>: a part is admissible
 exactly when its complement is, and {d} is the whole admissible set exactly
 when d is the only admissible part.  The central-weight search decides on
 that and lists no partition; it evaluates E(e, d - e) once, and each
-candidate adds only its own D <delta, e>.
+candidate adds only its own D <delta, e>, in integers over D = 2 t den.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product
 from math import gcd
 from operator import le, mul, sub
@@ -148,7 +147,8 @@ def _partition_checked(d, partition) -> VectorPartition:
 
 def _admissible_parts(q: Quiver, d, delta: CentralWeight, parts) -> list[DimVector]:
     """The e of ``parts`` with H(e) = E(e, d - e)/2 + <delta, e> an integer."""
-    scale, table = _scaled_half_widths(q, d, delta, range(len(d)), parts)
+    scale, sdelta = _scaled_central(delta, d)
+    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)), parts)
     return [e for e, h in zip(parts, table) if h % scale == 0]
 
 
@@ -193,20 +193,27 @@ def find_central_weight(q: Quiver, d, *, max_v: int | None = None,
         raise InputSchemaError("dimension vector is zero")
     if max_v is not None and not is_count(max_v):
         raise InputSchemaError(f"max_v {max_v!r} is not a nonnegative integer")
-    parts = _parts(d, force)
-    vs = range(total_dim(d) if max_v is None else max_v + 1)
-    spread = partial(CentralWeight.spread, d)
-    corrected = (spread(v) + CentralWeight(tuple(Fraction(num, den) for num in nums))
-                 for v in vs for den in range(1, DEN_BOUND + 1)
-                 for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
-                 if any(nums) and sum(map(mul, d, nums)) == 0 and gcd(den, *nums) == 1)
-    # E(e, d - e) once per search: D H at the zero central weight, where
-    # D = 2.  A candidate adds only D <delta, e>, and d itself always passes
+    parts, t = _parts(d, force), total_dim(d)
+    vs = range(t if max_v is None else max_v + 1)
+    # E(e, d - e) once per search: D H at D = 2 and delta = 0.  A candidate
+    # v/t + num_i/den is tested at the unreduced D = 2 t den, D delta_i =
+    # 2 (v den + t num_i), and only the hit is built.  d itself always passes
     others = parts[1:]
-    _, widths = _scaled_half_widths(q, d, CentralWeight.zero(len(d)), range(len(d)), others)
-    for delta in chain(map(spread, vs), corrected):
-        scale, sdelta = _scaled_central(delta)
-        half = scale // 2
-        if all((half * w + sum(map(mul, e, sdelta))) % scale for e, w in zip(others, widths)):
-            return delta
+    widths = _scaled_half_widths(q, d, 2, (0,) * len(d), range(len(d)), others)
+    for v, den, nums in _candidates(d, vs):
+        half = t * den
+        sdelta = [2 * (v * den + t * num) for num in nums]
+        if all((half * w + sum(map(mul, e, sdelta))) % (2 * half)
+               for e, w in zip(others, widths)):
+            return CentralWeight(tuple(Fraction(v * den + t * num, half) for num in nums))
     return None
+
+
+def _candidates(d, vs):
+    """The search's (v, den, nums) in order, v/t + num_i/den at vertex i with t
+    the total rank: each spread weight as den 1 and zero nums, then each
+    corrected by a sum-zero nums/den."""
+    return chain(((v, 1, (0,) * len(d)) for v in vs),
+                 ((v, den, nums) for v in vs for den in range(1, DEN_BOUND + 1)
+                  for nums in product(range(-NUM_BOUND, NUM_BOUND + 1), repeat=len(d))
+                  if any(nums) and sum(map(mul, d, nums)) == 0 and gcd(den, *nums) == 1))

@@ -40,7 +40,7 @@ from .partitions import (
     partition_indicator,
 )
 from .quiver import Quiver, _Record, loop_quiver, slot_blocks, total_dim, triple
-from .weights import CentralWeight, _scaled_half_widths, weyl_vector, window_width
+from .weights import CentralWeight, _scaled_central, _scaled_half_widths, weyl_vector, window_width
 from .zonotope import bounding_box, contains, support, weight_zonotope
 
 
@@ -320,7 +320,8 @@ def check_membership_routes():
             chi = [rng.randint(int(lo) - 1, int(hi) + 1) for lo, hi in box]
             chi = [c for b0, b1 in blocks for c in sorted(chi[b0:b1])]
             delta = CentralWeight.spread(d, sum(chi))
-            scale, table = _scaled_half_widths(q, d, delta, range(len(d)), profiles)
+            scale, sdelta = _scaled_central(delta, d)
+            table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)), profiles)
             tops = [[0, *accumulate(reversed(chi[b0:b1]))] for b0, b1 in blocks]
             by_cuts = all(sum(t[k] for t, k in zip(tops, ks)) <= h // scale
                           for ks, h in zip(profiles, table))

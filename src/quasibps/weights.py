@@ -16,18 +16,19 @@ Along the cocharacter 1 on the top k_i slots of each block i, half the
 window width plus the central pairing is H(k) = E(k, d - k)/2 + <delta, k>,
 with E(a, b) = a^T Q b - a.b.  The window's cut at the profile k is
 floor(H(k)) (``magic``), and a part e is admissible exactly when H(e) is an
-integer (``partitions``).  Both read D H, scaled by D = 2 lcm of the
-denominators of delta, from ``_scaled_half_widths``, which evaluates it on
-just the profiles it is given: the one code that evaluates H.  With
-half = D/2, m the arrow counts and a, b over the blocks of the profile,
+integer (``partitions``).  Both read D H, for an even D that clears the
+denominators of delta, from ``_scaled_half_widths``, which takes D and the
+integers D delta_i and evaluates D H on just the profiles it is given: the
+one code that evaluates H.  With half = D/2, m the arrow counts and a, b
+over the blocks of the profile,
 
     D H(k) = sum_a k_a (base_a + half k_a - sum_b half m_ab k_b),
     base_a = half (sum_b m_ab d_b - d_a) + D delta_a,
 
 so base and the rows half m_ab are built once per table, and the terms
 with k_a = 0 are skipped; D H(0) = 0.  The central-weight search reads
-E(e, d - e) from it once, at the zero weight, and adds each candidate's
-D <delta, e>, with D and D delta from ``_scaled_central``.
+E(e, d - e) from it once, at D = 2 and delta = 0, and adds each candidate's
+D <delta, e>.
 """
 
 from __future__ import annotations
@@ -119,13 +120,8 @@ class CentralWeight(_Record):
         Its pairing with the diagonal cocharacter is exactly v; this is the
         standard way an integer weight parameter enters the theory.
         """
-        if not is_int(v):
-            raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
-        t = total_dim(d)
-        if t == 0:
-            raise InputSchemaError("cannot spread a weight over a zero dimension vector")
         out = cls.__new__(cls)
-        out._init((Fraction(v, t),) * len(d))
+        out._init((Fraction(v, _spread_rank(d, v)),) * len(d))
         return out
 
     @classmethod
@@ -160,12 +156,20 @@ class CentralWeight(_Record):
         return CentralWeight(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
-def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
-    """D = 2 lcm of the denominators of delta, and D H(k) for each k of
-    ``profiles``, a profile over the blocks ``verts``, which hold every
-    nonzero block.  Refuses a central weight with another vertex count."""
-    delta._check_vertices(d)
-    scale, sdelta = _scaled_central(delta)
+def _spread_rank(d, v) -> int:
+    """The total rank of d, refusing a v that is not an integer and a zero d."""
+    if not is_int(v):
+        raise InputSchemaError(f"weight parameter v must be an integer, got {v!r}")
+    t = total_dim(d)
+    if t == 0:
+        raise InputSchemaError("cannot spread a weight over a zero dimension vector")
+    return t
+
+
+def _scaled_half_widths(q: Quiver, d, scale: int, sdelta, verts, profiles) -> list[int]:
+    """D H(k) for each k of ``profiles``, a profile over the blocks ``verts``,
+    which hold every nonzero block, from an even D = ``scale`` and the
+    integers D delta_i = ``sdelta[i]``."""
     half = scale // 2
     rows = [[half * q.arrows[i][j] for j in verts] for i in verts]
     base = [half * (sum(q.arrows[i][j] * d[j] for j in verts) - d[i]) + sdelta[i]
@@ -177,11 +181,13 @@ def _scaled_half_widths(q: Quiver, d, delta: CentralWeight, verts, profiles):
             if ka:
                 h += ka * (b + half * ka - sum(map(mul, row, k)))
         out.append(h)
-    return scale, out
+    return out
 
 
-def _scaled_central(delta: CentralWeight):
-    """D = 2 lcm of the denominators of delta, and the integers D delta_i."""
+def _scaled_central(delta: CentralWeight, d):
+    """D = 2 lcm of the denominators of delta, and the integers D delta_i.
+    Refuses a central weight with another vertex count than d."""
+    delta._check_vertices(d)
     scale = 2 * math.lcm(*(x.denominator for x in delta.values))
     return scale, [x.numerator * (scale // x.denominator) for x in delta.values]
 

@@ -13,6 +13,7 @@ from quasibps.errors import (
     AsymmetricQuiverError,
     CutoffExceededError,
     InputSchemaError,
+    RouteDisagreementError,
 )
 from quasibps.magic import magic_dimension, magic_dimension_v
 from quasibps.oracle import lattice_count_naive
@@ -20,6 +21,7 @@ from quasibps.partitions import _admissible_parts, _parts
 from quasibps.quiver import Quiver, loop_quiver, slot_blocks, total_dim
 from quasibps.weights import (
     CentralWeight,
+    _scaled_central,
     _scaled_half_widths,
     integrality_indicator,
     pairing,
@@ -146,6 +148,23 @@ def test_input_errors():
         magic_dimension(loop_quiver(3), (2,), CentralWeight((0.5,)))
 
 
+def test_spread_errors_keep_their_order():
+    # d is checked first, then v and a zero d, then symmetry, then the modes,
+    # and all of them before the rank cutoff
+    asym = Quiver(("a", "b"), ((0, 2), (1, 0)))
+    with pytest.raises(InputSchemaError, match=r"dim\[1\] = -1"):
+        magic_dimension_v(asym, (1, -1), 0.5)
+    with pytest.raises(InputSchemaError, match="weight parameter v must be an integer"):
+        magic_dimension_v(asym, (1, 1), 0.5)
+    with pytest.raises(InputSchemaError,
+                       match="cannot spread a weight over a zero dimension vector"):
+        magic_dimension_v(asym, (0, 0), 0)
+    with pytest.raises(AsymmetricQuiverError):
+        magic_dimension_v(asym, (1, 1), 0, fast="sometimes")
+    with pytest.raises(InputSchemaError, match="fast-membership mode"):
+        magic_dimension_v(loop_quiver(1), (13,), 0, fast="sometimes")
+
+
 def test_count_cutoff_and_force():
     with pytest.raises(CutoffExceededError):
         magic_dimension_v(loop_quiver(0), (13,), 0)
@@ -252,9 +271,9 @@ def test_largest_block_is_counted_last(monkeypatch):
     half_widths = magic._scaled_half_widths
     ranks = []
 
-    def record_ranks(q, d, delta, verts, profiles):
+    def record_ranks(q, d, scale, sdelta, verts, profiles):
         ranks.extend(d[i] for i in verts)
-        return half_widths(q, d, delta, verts, profiles)
+        return half_widths(q, d, scale, sdelta, verts, profiles)
 
     monkeypatch.setattr(magic, "_scaled_half_widths", record_ranks)
     q = Quiver(("0", "1"), ((3, 2), (2, 1)))
@@ -281,9 +300,9 @@ def test_window_count_block_order(monkeypatch, q, d, order):
     half_widths = magic._scaled_half_widths
     walked = []
 
-    def record_order(q, d, delta, verts, profiles):
+    def record_order(q, d, scale, sdelta, verts, profiles):
         walked.append(list(verts))
-        return half_widths(q, d, delta, verts, profiles)
+        return half_widths(q, d, scale, sdelta, verts, profiles)
 
     monkeypatch.setattr(magic, "_scaled_half_widths", record_order)
     magic_dimension_v(q, d, 1)
@@ -384,8 +403,9 @@ def test_block_ranges_match_bounding_box(case):
         if b1 == b0:
             continue
         e = tuple(int(j == i) for j in range(len(d)))
-        scale, (top, rest) = _scaled_half_widths(q, d, delta, range(len(d)),
-                                                 [e, tuple(m - x for m, x in zip(d, e))])
+        scale, sdelta = _scaled_central(delta, d)
+        top, rest = _scaled_half_widths(q, d, scale, sdelta, range(len(d)),
+                                        [e, tuple(m - x for m, x in zip(d, e))])
         assert (v - rest // scale, top // scale) == (max(lo[b0:b1]), min(hi[b0:b1]))
 
 
@@ -402,7 +422,8 @@ def test_weyl_cut_rule_matches_flow_membership(case):
     hi = [x + 1 for x in ranges[1]]
     verts = [i for i, m in enumerate(d) if m]
     profiles = list(product(*(range(d[i] + 1) for i in verts)))
-    scale, table = _scaled_half_widths(q, d, delta, verts, profiles)
+    scale, sdelta = _scaled_central(delta, d)
+    table = _scaled_half_widths(q, d, scale, sdelta, verts, profiles)
     cuts = [(ks, h // scale) for ks, h in zip(profiles, table)]
     # the dominant chi in the ranges: one nondecreasing tuple per nonzero block
     per_block = []
@@ -429,7 +450,8 @@ def test_scaled_half_widths_match_the_width_definition(case):
     # slots of each block i
     q, d, delta = case
     profiles = list(product(*(range(m + 1) for m in d)))
-    scale, table = _scaled_half_widths(q, d, delta, range(len(d)), profiles)
+    scale, sdelta = _scaled_central(delta, d)
+    table = _scaled_half_widths(q, d, scale, sdelta, range(len(d)), profiles)
     assert len(table) == len(profiles)
     assert table[0] == 0  # D H(0) = 0: the window count keeps no residual there
 
@@ -454,8 +476,52 @@ def test_scaled_half_widths_match_the_width_definition(case):
             full[i] = ki
         return tuple(full)
 
-    assert _scaled_half_widths(q, d, delta, verts, sub) == \
-        (scale, [by_profile[in_vertex_order(k)] for k in sub])
+    assert _scaled_half_widths(q, d, scale, sdelta, verts, sub) == \
+        [by_profile[in_vertex_order(k)] for k in sub]
     admissible = set(_admissible_parts(q, d, delta, _parts(d, True)))
     for e in profiles[1:]:
         assert (e in admissible) == (integrality_indicator(q, d, top_slots(e), delta) == 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 30), st.integers(-60, 60), st.integers(1, 3), st.data())
+def test_spread_reaches_the_count_as_integers(n, v, nv, data):
+    # magic_dimension_v scales the weight v/n itself, D = 2n/g and
+    # D delta_i = 2v/g with g = gcd(v, n): what the spread weight scales to
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=nv - 1, max_size=nv - 1)))
+    d = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magic, "_window_count", lambda q, d, *scaled: seen.append(scaled) or 0)
+        magic_dimension_v(Quiver(tuple(map(str, range(nv))), ((1,) * nv,) * nv), d, v,
+                          force=True)
+    assert seen == [_scaled_central(CentralWeight.spread(d, v), d)]
+
+
+class _NoWeight:
+    def __init__(self, *args):
+        raise AssertionError("a central weight was built")
+
+    spread = classmethod(lambda cls, *args: cls())
+
+
+def test_spread_count_builds_no_central_weight(monkeypatch):
+    monkeypatch.setattr(magic, "CentralWeight", _NoWeight)
+    for g in range(3):
+        for v in range(-2, 3):
+            assert magic_dimension_v(TORIC[g], (1, 1), v) == (2 * g + 2 if v % 2 else 2 * g + 1)
+    assert magic_dimension_v(CROSS, (3, 3), 0, fast="off") == 325
+    # the flow-membership reference reads a central weight, so "checked" builds one
+    with pytest.raises(AssertionError, match="central weight was built"):
+        magic_dimension_v(CROSS, (1, 1), 0, fast="checked")
+
+
+def test_checked_route_raises_when_the_counts_disagree(monkeypatch):
+    count = magic._window_count
+    monkeypatch.setattr(magic, "_window_count", lambda *args: count(*args) + 1)
+    delta = CentralWeight.spread((1, 1), 1)
+    assert magic_dimension_v(TORIC[1], (1, 1), 1) == magic_dimension(TORIC[1], (1, 1), delta) == 5
+    with pytest.raises(RouteDisagreementError, match="block-profile DP 5, flow DFS 4"):
+        magic_dimension_v(TORIC[1], (1, 1), 1, fast="checked")
+    with pytest.raises(RouteDisagreementError, match="block-profile DP 5, flow DFS 4"):
+        magic_dimension(TORIC[1], (1, 1), delta, fast="checked")

@@ -111,9 +111,9 @@ def test_indicator_evaluates_only_the_distinct_parts(monkeypatch):
     half_widths = partitions._scaled_half_widths
     seen = []
 
-    def record(q, d, delta, verts, profiles):
+    def record(q, d, scale, sdelta, verts, profiles):
         seen.append(list(profiles))
-        return half_widths(q, d, delta, verts, seen[-1])
+        return half_widths(q, d, scale, sdelta, verts, seen[-1])
 
     monkeypatch.setattr(partitions, "_scaled_half_widths", record)
     parts = [(1, 0), (1, 1), (1, 0), (0, 1)]
@@ -288,25 +288,44 @@ def test_find_central_weight_two_vertices():
 
 
 def test_find_central_weight_builds_one_table(monkeypatch):
-    # E(e, d - e) is evaluated once per search; each candidate weight only
-    # rescales its own pairing.  toric g=1 at d=(3,3) rejects v = 0 and 1
-    # and accepts v = 2
-    half_widths, scaled_central = partitions._scaled_half_widths, partitions._scaled_central
+    # E(e, d - e) is evaluated once per search, at D = 2 and delta = 0; each
+    # candidate weight only adds its own pairing.  toric g=1 at d=(3,3)
+    # rejects v = 0 and 1 and accepts v = 2
+    half_widths, all_candidates = partitions._scaled_half_widths, partitions._candidates
     tables, candidates = [], []
 
-    def record_table(*args):
-        tables.append(args[2])
-        return half_widths(*args)
+    def record_table(q, d, scale, sdelta, verts, profiles):
+        tables.append((scale, tuple(sdelta)))
+        return half_widths(q, d, scale, sdelta, verts, profiles)
 
-    def record_candidate(delta):
-        candidates.append(delta)
-        return scaled_central(delta)
+    def record_candidates(d, vs):
+        for c in all_candidates(d, vs):
+            candidates.append(c)
+            yield c
 
     monkeypatch.setattr(partitions, "_scaled_half_widths", record_table)
-    monkeypatch.setattr(partitions, "_scaled_central", record_candidate)
+    monkeypatch.setattr(partitions, "_candidates", record_candidates)
     assert find_central_weight(TORIC1, (3, 3)) == CentralWeight.spread((3, 3), 2)
-    assert tables == [CentralWeight.zero(2)]
-    assert candidates == [CentralWeight.spread((3, 3), v) for v in range(3)]
+    assert tables == [(2, (0, 0))]
+    assert candidates == [(v, 1, (0, 0)) for v in range(3)]
+
+
+def test_find_central_weight_builds_only_its_hit(monkeypatch):
+    # candidates are tested as integers; only the hit becomes a central weight
+    built = []
+
+    def record(values):
+        built.append(values)
+        return CentralWeight(values)
+
+    monkeypatch.setattr(partitions, "CentralWeight", record)
+    second = Quiver(("0", "1"), ((0, 1), (1, 1)))
+    assert find_central_weight(second, (2, 2)) == \
+        CentralWeight((Fraction(-2, 3), Fraction(2, 3)))
+    assert find_central_weight(TORIC1, (3, 3)) == CentralWeight.spread((3, 3), 2)
+    assert built == [(Fraction(-2, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 3))]
+    assert find_central_weight(loop_quiver(3), (4,), max_v=0) is None
+    assert len(built) == 2
 
 
 def test_find_central_weight_exhausted():
@@ -395,6 +414,9 @@ def test_find_central_weight_skips_only_repeated_corrections():
     second = Quiver(("0", "1"), ((0, 1), (1, 1)))
     cases += [(second, (2, 2)), (second, (2, 4))]
     for q, d in cases:
-        assert find_central_weight(q, d) == _first_isolating_weight(q, d), (q, d)
+        # the hit is built from integers, yet equal, hash-equal and repr-equal
+        # to the spread weight plus its correction
+        found, want = find_central_weight(q, d), _first_isolating_weight(q, d)
+        assert (found, hash(found), repr(found)) == (want, hash(want), repr(want)), (q, d)
     assert find_central_weight(second, (2, 4)) == \
         CentralWeight((Fraction(-2, 3), Fraction(5, 6)))

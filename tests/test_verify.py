@@ -5,6 +5,7 @@ import pytest
 
 import quasibps.cli as cli
 import quasibps.verify as verify
+from quasibps import magic
 from quasibps.verify import (
     CHECKS,
     DEEP_CHECKS,
@@ -53,34 +54,47 @@ def plus_one(f):
     return lambda *args, **kwargs: f(*args, **kwargs) + 1
 
 
-# one name in quasibps.verify replaced by a wrong one, and the checks that must fail
+def plus_one_at_full_rank(f):
+    """magic_dimension_v, one too high at v = |d| alone: that splits the
+    sweep's gcd class {0, |d|, 2|d|}."""
+    return lambda q, d, v, **kwargs: f(q, d, v, **kwargs) + (v == sum(d))
+
+
+# plant id: the name in quasibps.verify replaced by a wrong one, the wrong
+# one, and the checks that must fail
 PLANTS = {
-    "loop_count": (plus_one, ["score-route-agreement"]),
-    "magic_dimension_v": (plus_one, ["toric-window-counts", "odd-loop-rank-two",
-                                     "one-loop-divisibility", "score-route-agreement"]),
-    "partition_indicator": (lambda f: lambda *args, **kwargs: not f(*args, **kwargs),
+    "loop_count": ("loop_count", plus_one, ["score-route-agreement"]),
+    "magic_dimension_v": ("magic_dimension_v", plus_one,
+                          ["toric-window-counts", "odd-loop-rank-two",
+                           "one-loop-divisibility", "score-route-agreement"]),
+    "magic_dimension_v-at-full-rank": ("magic_dimension_v", plus_one_at_full_rank,
+                                       ["gcd-invariance"]),
+    "partition_indicator": ("partition_indicator",
+                            lambda f: lambda *args, **kwargs: not f(*args, **kwargs),
                             ["admissibility-routes"]),
-    "bps_assembly_dim": (plus_one, ["toric-window-counts", "tripled-loop-assembly"]),
-    "find_central_weight": (lambda f: lambda *args, **kwargs: None,
+    "bps_assembly_dim": ("bps_assembly_dim", plus_one,
+                         ["toric-window-counts", "tripled-loop-assembly"]),
+    "find_central_weight": ("find_central_weight", lambda f: lambda *args, **kwargs: None,
                             ["central-weight-search"]),
-    "admissible_partitions": (lambda f: lambda *args, **kwargs: f(*args, **kwargs)[1:],
+    "admissible_partitions": ("admissible_partitions",
+                              lambda f: lambda *args, **kwargs: f(*args, **kwargs)[1:],
                               ["closed-form-sets", "central-weight-search"]),
-    "magic_dimension": (plus_one, ["naive-lattice", "fractional-central"]),
+    "magic_dimension": ("magic_dimension", plus_one, ["naive-lattice", "fractional-central"]),
 }
 
 
-def plant(monkeypatch, name, names):
-    """Replace ``name`` in quasibps.verify and leave only the checks ``names`` registered."""
-    wrong, _ = PLANTS[name]
+def plant(monkeypatch, plant_id):
+    """Apply the plant ``plant_id`` and leave only its targeted checks registered."""
+    name, wrong, names = PLANTS[plant_id]
     monkeypatch.setattr(verify, name, wrong(getattr(verify, name)))
     monkeypatch.setattr(verify, "CHECKS", [c for c in CHECKS + DEEP_CHECKS if c[0] in names])
     monkeypatch.setattr(verify, "DEEP_CHECKS", [])
 
 
-@pytest.mark.parametrize("name", PLANTS)
-def test_every_targeted_check_fails_under_its_plant(monkeypatch, name):
-    names = PLANTS[name][1]
-    plant(monkeypatch, name, names)
+@pytest.mark.parametrize("plant_id", PLANTS)
+def test_every_targeted_check_fails_under_its_plant(monkeypatch, plant_id):
+    names = PLANTS[plant_id][2]
+    plant(monkeypatch, plant_id)
     seen = []
     results = verify.run_checks(progress=seen.append)
     assert [r.name for r in results] == [r.name for r in seen] == \
@@ -92,8 +106,17 @@ def test_every_targeted_check_fails_under_its_plant(monkeypatch, name):
     assert report_dict(results)["pass"] is False
 
 
+def test_membership_routes_fail_when_the_window_count_is_off(monkeypatch):
+    # the checked route raises, and the check reports it rather than crashing
+    count = magic._window_count
+    monkeypatch.setattr(magic, "_window_count", lambda *args: count(*args) + 1)
+    _, computed, passed = verify.check_membership_routes()
+    assert passed is False
+    assert "mismatches" in computed and "route disagreement" in computed
+
+
 def test_cli_verify_exits_one_under_a_plant(monkeypatch, capsys):
-    plant(monkeypatch, "loop_count", ["score-route-agreement"])
+    plant(monkeypatch, "loop_count")
     assert cli.main(["verify", "--quiet"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL  score-route-agreement")
